@@ -3,7 +3,7 @@ differentials, area Siegel-Veech constants, multicurve frequencies and
 square-tiled surface statistics, via stable-graph enumeration and psi-class
 intersection numbers."""
 
-from .exact_arith import PiPolynomial, PiRational, bernoulli, zeta_even
+from .exact_arith import ExactnessError, PiRational, bernoulli, zeta_even
 from .correlators import correlator, c_gk, epsilon_d, max_bracket, normalized_bracket
 from .stable_graphs import StableGraph, aut_order, enumerate_graphs
 from .volume_engine import (

@@ -137,11 +137,10 @@ def vol_gamma1_asymptotic(g: int) -> float:
 def vol_gamma1_bounds(g: int) -> Tuple[Fraction, Fraction, Fraction]:
     """(lower, value, upper) for Vol Gamma_1(g+1)/zeta(6g): the exact ratio
     sandwiched by C(4g,g)(2^4/3)^g (1 - 2/(6g-1)) and C(4g,g)(2^4/3)^g."""
-    ratio = vol_gamma1_exact(g + 1) / zeta_even(6 * g)
-    assert ratio.pi_power == 0
+    ratio = (vol_gamma1_exact(g + 1) / zeta_even(6 * g)).rational(0)
     upper = binomial(4 * g, g) * Fraction(16, 3) ** g
     lower = upper * (1 - Fraction(2, 6 * g - 1))
-    return lower, ratio.coeff, upper
+    return lower, ratio, upper
 
 
 def vol_delta(g1: int, g2: int) -> PiRational:
@@ -165,10 +164,9 @@ def sep_nonsep_ratio(g: int) -> Tuple[Fraction, float]:
     total = PiRational.zero()
     for g1 in range(1, g // 2 + 1):
         total = total + vol_delta(g1, g - g1)
-    ratio = total / vol_gamma1_exact(g)
-    assert ratio.pi_power == 0
+    ratio = (total / vol_gamma1_exact(g)).rational(0)
     asym = math.sqrt(2 / (3 * math.pi * g)) / 4 ** g
-    return ratio.coeff, asym
+    return ratio, asym
 
 
 def sum_binomial_products(g: int) -> int:
@@ -329,10 +327,6 @@ def expansion_residual(k: int, m: int) -> Tuple[float, float]:
 
 def poisson_lambda(g: int) -> float:
     return (math.log(6 * g - 6) + float(mpmath.euler)) / 2 + (math.log(2) - 1)
-
-
-def poisson_lambda_tail(g: int) -> float:
-    return (math.log(6 * g - 6) + float(mpmath.euler)) / 2
 
 
 class PoissonModel(NamedTuple):

@@ -159,6 +159,11 @@ def cmd_expect(args) -> int:
     num = _parse_ints(args.num)
     den = _parse_ints(args.den)
     H = _parse_ints(args.heights) if args.heights else None
+    for flag, vec in (("--num", num), ("--den", den), ("--heights", H)):
+        if vec is not None and len(vec) != graph.num_edges:
+            raise ValueError(
+                f"{flag} needs one entry per edge ({graph.num_edges}), got {len(vec)}"
+            )
     try:
         val = multicurve_stats.expectation_ratio(graph, num, den, H)
     except ValueError as exc:

@@ -14,11 +14,6 @@ from itertools import product as _iproduct
 from math import comb, factorial
 from typing import Dict, Iterable, Sequence, Tuple
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
 from .exact_arith import double_factorial
 
 __all__ = [
@@ -31,14 +26,14 @@ __all__ = [
     "cached_keys",
 ]
 
-_ZERO = _Q(0)
+_ZERO = Fraction(0)
 
 
 def _stable(g: int, n: int) -> bool:
     return g >= 0 and n >= 1 and 2 * g - 2 + n > 0
 
 
-_cache: Dict[Tuple[int, Tuple[int, ...]], object] = {}
+_cache: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
 
 
 def cached_keys():
@@ -60,14 +55,14 @@ def _submultisets(items: Tuple[Tuple[int, int], ...]):
         yield tuple(chosen), tuple(rest), weight
 
 
-def _corr(g: int, d: Tuple[int, ...]):
-    """d sorted descending; returns mpq.  Assumes (g, len(d)) stable and
+def _corr(g: int, d: Tuple[int, ...]) -> Fraction:
+    """d sorted descending.  Assumes (g, len(d)) stable and
     sum(d) == 3g - 3 + len(d)."""
     n = len(d)
     if g == 0 and n == 3:
-        return _Q(1)
+        return Fraction(1)
     if g == 1 and n == 1:
-        return _Q(1, 24)
+        return Fraction(1, 24)
     key = (g, d)
     val = _cache.get(key)
     if val is not None:
@@ -104,7 +99,7 @@ def _corr(g: int, d: Tuple[int, ...]):
         merged = rest[:j] + (k + dj - 1,) + rest[j + 1 :]
         total += (
             mult
-            * _Q(double_factorial(2 * (k + dj) - 1), double_factorial(2 * dj - 1))
+            * Fraction(double_factorial(2 * (k + dj) - 1), double_factorial(2 * dj - 1))
             * _corr_checked(g, merged)
         )
     if k >= 2:
@@ -112,7 +107,7 @@ def _corr(g: int, d: Tuple[int, ...]):
         half = _ZERO
         for a in range(k - 1):
             b = k - 2 - a
-            w = _Q(double_factorial(2 * a + 1) * double_factorial(2 * b + 1))
+            w = double_factorial(2 * a + 1) * double_factorial(2 * b + 1)
             term = _corr_checked(g - 1, rest + (a, b)) if g >= 1 else _ZERO
             split = _ZERO
             for left, right, weight in _submultisets(groups):
@@ -132,7 +127,7 @@ def _corr(g: int, d: Tuple[int, ...]):
     return total
 
 
-def _corr_checked(g: int, d: Iterable[int]):
+def _corr_checked(g: int, d: Iterable[int]) -> Fraction:
     d = tuple(sorted(d, reverse=True))
     n = len(d)
     if not _stable(g, n):
@@ -152,8 +147,7 @@ def correlator(g: int, d: Sequence[int]) -> Fraction:
         raise ValueError("unstable (g, n) = (%d, %d)" % (g, n))
     if sum(d) != 3 * g - 3 + n:
         return Fraction(0)
-    v = _corr(g, tuple(sorted(d, reverse=True)))
-    return Fraction(v.numerator, v.denominator)
+    return _corr(g, tuple(sorted(d, reverse=True)))
 
 
 def one_point_closed_form(g: int) -> Fraction:

@@ -5,12 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial as _factorial, pi as _PI
-from typing import Dict
 
 __all__ = [
-    "Rational",
+    "ExactnessError",
     "PiRational",
-    "PiPolynomial",
     "bernoulli",
     "zeta_even",
     "factorial",
@@ -18,7 +16,10 @@ __all__ = [
     "binomial",
 ]
 
-Rational = Fraction
+
+class ExactnessError(ValueError, AssertionError):
+    """An exact result failed an invariant the formulas guarantee, such as
+    its power of pi.  Raised explicitly, so ``python -O`` keeps the check."""
 
 
 @lru_cache(maxsize=None)
@@ -128,6 +129,14 @@ class PiRational:
             raise ZeroDivisionError
         return PiRational(1 / self.coeff, -self.pi_power)
 
+    def rational(self, pi_power: int) -> Fraction:
+        """The coefficient, after checking that the value is q * pi^pi_power."""
+        if self.pi_power != pi_power and not self.is_zero():
+            raise ExactnessError(
+                "expected pi power %d, got %r" % (pi_power, self)
+            )
+        return self.coeff
+
     def __eq__(self, other) -> bool:
         if isinstance(other, PiRational):
             return self.coeff == other.coeff and self.pi_power == other.pi_power
@@ -155,90 +164,6 @@ class PiRational:
     @staticmethod
     def from_json(obj: dict) -> "PiRational":
         return PiRational(Fraction(obj["coeff"]), int(obj["pi_power"]))
-
-
-class PiPolynomial:
-    """Finite sum of rational multiples of distinct pi powers."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[int, Fraction] | None = None):
-        self.terms: Dict[int, Fraction] = {}
-        if terms:
-            for p, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[int(p)] = c
-
-    @staticmethod
-    def from_pi_rational(x: PiRational) -> "PiPolynomial":
-        return PiPolynomial({x.pi_power: x.coeff} if not x.is_zero() else {})
-
-    def __add__(self, other):
-        if isinstance(other, PiRational):
-            other = PiPolynomial.from_pi_rational(other)
-        if not isinstance(other, PiPolynomial):
-            return NotImplemented
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return PiPolynomial(out)
-
-    def __neg__(self):
-        return PiPolynomial({p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, PiRational):
-            other = PiPolynomial.from_pi_rational(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PiPolynomial({p: c * other for p, c in self.terms.items()})
-        if isinstance(other, PiRational):
-            other = PiPolynomial.from_pi_rational(other)
-        if not isinstance(other, PiPolynomial):
-            return NotImplemented
-        out: Dict[int, Fraction] = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                out[p1 + p2] = out.get(p1 + p2, Fraction(0)) + c1 * c2
-        return PiPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PiRational):
-            other = PiPolynomial.from_pi_rational(other)
-        if not isinstance(other, PiPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_pi_rational(self) -> PiRational:
-        """Convert back; requires at most one pi power."""
-        if not self.terms:
-            return PiRational.zero()
-        if len(self.terms) != 1:
-            raise ValueError("polynomial mixes pi powers: %s" % sorted(self.terms))
-        ((p, c),) = self.terms.items()
-        return PiRational(c, p)
-
-    def __float__(self) -> float:
-        return sum(float(c) * _PI ** p for p, c in self.terms.items())
-
-    def __repr__(self) -> str:
-        return "PiPolynomial(%r)" % (self.terms,)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(str(PiRational(c, p)) for p, c in sorted(self.terms.items()))
 
 
 @lru_cache(maxsize=None)

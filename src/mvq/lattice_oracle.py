@@ -104,6 +104,8 @@ def normalized_lattice_sum(
 ) -> Fraction:
     """lattice_sum scaled by N^(|m|+k); converges to
     prod m_i! zeta(m_i+1) / ((|m|+k)! * index)."""
+    if N <= 0:
+        raise ValueError("N must be positive")
     d = sum(m) + len(m)
     return Fraction(lattice_sum(m, N, parity), N ** d)
 
@@ -132,6 +134,8 @@ def square_tiled_count(graph: StableGraph, N: int) -> CountResult:
     """Exact leading-order count of square-tiled surfaces with at most 2N
     squares whose horizontal cylinder decomposition has type ``graph``, and
     the derived volume estimate 2(6g-6+2n) count / N^d."""
+    if N <= 0:
+        raise ValueError("N must be positive")
     g = graph.genus
     n = graph.num_legs
     d = 6 * g - 6 + 2 * n

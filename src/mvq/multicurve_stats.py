@@ -13,8 +13,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
-import sympy
-
 from .exact_arith import PiRational, factorial, zeta_even
 from .stable_graphs import StableGraph
 from .volume_engine import (
@@ -97,9 +95,7 @@ def cylinder_distribution(g: int, n: int) -> Dict[int, Fraction]:
     total = report.total
     out: Dict[int, Fraction] = {}
     for k, v in sorted(report.per_cylinder_count.items()):
-        ratio = v / total
-        assert ratio.pi_power == 0
-        out[k] = ratio.coeff
+        out[k] = (v / total).rational(0)
     return out
 
 
@@ -120,6 +116,8 @@ def _shift_poly(poly: Poly, num: Sequence[int], den: Sequence[int]) -> Poly:
 
 
 def _op_Y_symbolic(poly: Poly, H: Sequence) -> sympy.Expr:
+    import sympy
+
     total = sympy.Integer(0)
     for expo, coeff in poly.items():
         term = sympy.Rational(coeff.numerator, coeff.denominator)
@@ -132,6 +130,8 @@ def _op_Y_symbolic(poly: Poly, H: Sequence) -> sympy.Expr:
 def _op_Z_symbolic(poly: Poly) -> sympy.Expr:
     """Zeta evaluation allowing odd zeta values; sympy.oo when the divergent
     zeta(1) pattern appears in every monomial, error when only in some."""
+    import sympy
+
     divergent = [any(m == 0 for m in expo) for expo in poly]
     if any(divergent):
         if all(divergent):
@@ -158,6 +158,8 @@ def expectation_ratio(
     With numeric H the result is an exact Fraction; with sympy-symbol entries
     in H it is a symbolic expression; without H it is a symbolic expression in
     even/odd zeta values, or sympy.oo in the divergent case."""
+    import sympy
+
     poly = graph_polynomial(graph)
     shifted = _shift_poly(poly, num, den)
     if H is not None:
@@ -190,24 +192,6 @@ def prob_heights(
     else:
         return PiRational(1, 0)
     return PiRational(num, 0) / z
-
-
-def ztilde_density(
-    graph: StableGraph, H: Sequence[int], x: Sequence[float]
-) -> float:
-    """Value at x of the limiting density on the simplex of relative cylinder
-    areas, for fixed heights H."""
-    k = graph.num_edges
-    if any(xi < 0 for xi in x) or sum(x) > 1 + 1e-12:
-        return 0.0
-    poly = graph_polynomial(graph)
-    total = 0.0
-    for expo, coeff in poly.items():
-        term = float(coeff)
-        for m, h, xi in zip(expo, H, x):
-            term *= xi ** m / h ** (m + 1)
-        total += term
-    return total
 
 
 def ztilde_integral(graph: StableGraph, H: Sequence[int]) -> Fraction:

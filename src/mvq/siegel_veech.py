@@ -51,8 +51,7 @@ def c_area_graphsum(g: int, n: int) -> Fraction:
     for entry, _ in report.per_graph:
         total = total + sv_graph(entry.graph, entry.aut_order)
     ratio = total / report.total
-    assert ratio.pi_power == 0
-    return ratio.coeff
+    return ratio.rational(0)
 
 
 def _vol_q(g: int, n: int) -> PiRational:
@@ -110,8 +109,7 @@ def c_area_boundary(g: int, n: int) -> Fraction:
     ) * _vol_q(g - 1, n + 2)
     rhs = rhs * Fraction(1, 8) + nonsep
     ratio = rhs / masur_veech_volume(g, n).total
-    assert ratio.pi_power == -2
-    return ratio.coeff / 3
+    return ratio.rational(-2) / 3
 
 
 def _r(m: int) -> Fraction:
@@ -138,8 +136,7 @@ def _c_area_boundary_genus0(n: int) -> Fraction:
         rhs = rhs + coeff * (_vol_q(0, n1) * _vol_q(0, n2))
     rhs = rhs * Fraction(1, 8)
     ratio = rhs / genus0_volume(n)
-    assert ratio.pi_power == -2
-    return ratio.coeff / 3
+    return ratio.rational(-2) / 3
 
 
 def lyapunov_sum_plus(g: int, n: int) -> Fraction:

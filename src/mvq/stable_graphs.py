@@ -301,7 +301,7 @@ def _nondecreasing_tuples(length: int, lo: int, total_max: int) -> Iterator[Tupl
         if k == 0:
             yield ()
             return
-        for v in range(minv, budget // k + 1 if False else budget + 1):
+        for v in range(minv, budget + 1):
             if v * k > budget:
                 break
             for rest in rec(k - 1, v, budget - v):

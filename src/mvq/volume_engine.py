@@ -13,7 +13,7 @@ from itertools import product
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .correlators import correlator
-from .exact_arith import PiPolynomial, PiRational, factorial, zeta_even
+from .exact_arith import ExactnessError, PiRational, factorial, zeta_even
 from .stable_graphs import CatalogEntry, StableGraph, aut_order, enumerate_graphs
 
 # A polynomial in variables b_1..b_k: exponent tuple -> rational coefficient.
@@ -117,18 +117,35 @@ def graph_polynomial(graph: StableGraph, aut: int | None = None) -> Poly:
     return {expo: coeff * pref for expo, coeff in raw_graph_polynomial(graph).items()}
 
 
+@lru_cache(maxsize=None)
+def _zeta_factor(m: int) -> Fraction:
+    """m! zeta(m + 1) / pi^(m + 1), a rational for odd m >= 1."""
+    if m % 2 != 1:
+        raise ExactnessError(f"even exponent {m} in zeta evaluation")
+    return zeta_even(m + 1).coeff * factorial(m)
+
+
 def op_Z(poly: Poly) -> PiRational:
     """Replace each monomial prod b_e^{m_e} by prod m_e! zeta(m_e + 1).
 
-    Every exponent must be odd so that only even zeta values appear."""
-    acc = PiPolynomial()
+    Every exponent must be odd so that only even zeta values appear, and
+    every monomial must have the same sum(m_e + 1), the power of pi that
+    factors out of the whole sum."""
+    total = Fraction(0)
+    pi_power = None
     for expo, coeff in poly.items():
-        term = PiRational(coeff, 0)
+        term = coeff
         for m in expo:
-            assert m % 2 == 1, f"even exponent {m} in zeta evaluation"
-            term = term * zeta_even(m + 1) * factorial(m)
-        acc = acc + PiPolynomial.from_pi_rational(term)
-    return acc.as_pi_rational()
+            term *= _zeta_factor(m)
+        total += term
+        d = sum(expo) + len(expo)
+        if pi_power is None:
+            pi_power = d
+        elif d != pi_power:
+            raise ExactnessError(
+                "polynomial mixes pi powers %d and %d" % (pi_power, d)
+            )
+    return PiRational(total, pi_power or 0)
 
 
 def op_Y(poly: Poly, H: Sequence[int]) -> Fraction:

@@ -151,6 +151,36 @@ class TestOracle:
         assert code == 0
 
 
+class TestBoundary:
+    """Bad input exits 1 with a one-line message instead of a traceback or a
+    silently wrong number."""
+
+    def assert_rejected(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_oracle_count_rejects_nonpositive_N(self, capsys):
+        for N in ("0", "-3"):
+            self.assert_rejected(capsys, "oracle", "count", "1", "2", "--N", N)
+
+    def test_oracle_lattice_rejects_nonpositive_N(self, capsys):
+        for N in ("0", "-3"):
+            self.assert_rejected(capsys, "oracle", "lattice", "--m", "1", "--N", N)
+
+    def test_expect_rejects_vectors_of_wrong_length(self, capsys, tmp_path):
+        doc = {"vertices": [{"genus": 1}], "edges": [[0, 0]], "legs": []}
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        graph = ("expect", "--graph", str(path))
+        self.assert_rejected(capsys, *graph, "--num", "1", "--den", "0,1,4")
+        self.assert_rejected(capsys, *graph, "--num", "1,0", "--den", "0")
+        self.assert_rejected(
+            capsys, *graph, "--num", "1", "--den", "0", "--heights", "1,2"
+        )
+
+
 class TestGraphsAndChecks:
     def test_graphs_listing(self, capsys):
         code, out, _ = run(capsys, "graphs", "2", "0")

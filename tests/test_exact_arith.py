@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mvq.exact_arith import (
-    PiPolynomial,
+    ExactnessError,
     PiRational,
     binomial,
     double_factorial,
@@ -116,22 +116,16 @@ class TestPiRationalField:
         assert float(x) == pytest.approx(float(a) * math.pi ** p)
 
     @given(fractions_st, powers_st)
+    def test_rational_checks_pi_power(self, a, p):
+        x = pr(a, p)
+        assert x.rational(p) == a
+        if a != 0:
+            with pytest.raises(ExactnessError) as info:
+                x.rational(p + 2)
+            assert isinstance(info.value, ValueError)
+            assert isinstance(info.value, AssertionError)
+
+    @given(fractions_st, powers_st)
     def test_json_round_trip(self, a, p):
         x = pr(a, p)
         assert PiRational.from_json(x.to_json()) == x
-
-
-class TestPiPolynomial:
-    def test_zero(self):
-        assert PiPolynomial().is_zero()
-        assert PiPolynomial().as_pi_rational() == PiRational.zero()
-
-    @given(fractions_st, powers_st)
-    def test_round_trip_single_term(self, a, p):
-        x = pr(a, p)
-        assert PiPolynomial.from_pi_rational(x).as_pi_rational() == x
-
-    def test_multi_term_has_no_single_power_form(self):
-        poly = PiPolynomial({2: Fraction(1), 4: Fraction(1)})
-        with pytest.raises(ValueError):
-            poly.as_pi_rational()

@@ -1,5 +1,8 @@
 """Tests for stable-graph enumeration, canonical forms, and automorphisms."""
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,3 +148,16 @@ def test_all_entries_are_stable(g, n, count):
             val = sum(2 if a == b == v else (a == v) + (b == v) for a, b in graph.edges)
             val += sum(1 for w in graph.legs if w == v)
             assert 2 * gv - 2 + val > 0
+
+
+class TestJsonSchema:
+    def test_readme_example_loads(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = re.search(r"Graph files are JSON.*?```json\n(.*?)```", text, re.S)
+        doc = json.loads(block.group(1))
+        graph = StableGraph.from_json(doc)
+        assert (graph.genus, graph.num_legs, graph.num_edges) == (2, 1, 2)
+        back = graph.to_json()
+        for key in ("vertices", "edges", "legs"):
+            assert back[key] == doc[key]

@@ -1,5 +1,9 @@
 """Tests for the moduli-space volume engine."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -46,8 +50,29 @@ class TestOperators:
         assert op_Z(poly) == Fraction(6) * zeta_even(4)
 
     def test_z_operator_rejects_even_exponents(self):
-        with pytest.raises(AssertionError):
-            op_Z({(2,): Fraction(1)})
+        # an even exponent, and monomials whose powers of pi differ
+        for poly in ({(2,): Fraction(1)}, {(1,): Fraction(1), (3,): Fraction(1)}):
+            with pytest.raises(AssertionError):
+                op_Z(poly)
+
+    def test_z_operator_guard_survives_optimize_flag(self):
+        # the guards raise explicitly, so python -O cannot strip them
+        code = (
+            "from mvq.exact_arith import ExactnessError\n"
+            "from mvq.volume_engine import op_Z\n"
+            "try:\n"
+            "    op_Z({(2,): 1})\n"
+            "except ExactnessError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
 
     def test_y_operator(self):
         # b^3 with height H maps to 3!/H^4
