@@ -23,7 +23,7 @@ from .exact_arith import (
 )
 from .multicurve_stats import cylinder_distribution
 from .stable_graphs import StableGraph
-from .volume_engine import masur_veech_volume, vol_graph
+from .volume_engine import vol_graph
 
 
 # ---------------------------------------------------------------------------

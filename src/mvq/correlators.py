@@ -9,7 +9,6 @@ equations used to strip indices 0 and 1 first.  Everything is memoized on
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as _iproduct
 from math import comb, factorial
 from typing import Dict, Iterable, Sequence, Tuple

@@ -16,13 +16,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact_arith import PiRational, factorial
-from .stable_graphs import StableGraph, aut_order, enumerate_graphs
-from .volume_engine import (
-    genus0_volume,
-    masur_veech_volume,
-    raw_graph_polynomial,
-    vol_graph,
-)
+from .stable_graphs import StableGraph, aut_order
+from .volume_engine import masur_veech_volume, raw_graph_polynomial
 
 
 def _cost_array(m: int, N: int, parity: Optional[int]) -> List[int]:

@@ -9,10 +9,9 @@ rational number.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
 
 from .exact_arith import PiRational, factorial
-from .stable_graphs import StableGraph, enumerate_graphs, is_bridge
+from .stable_graphs import StableGraph, is_bridge
 from .volume_engine import (
     Poly,
     genus0_volume,

@@ -9,9 +9,9 @@ such that h^1 + sum of vertex genera equals g and every vertex satisfies
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations
 from math import factorial
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 __all__ = [
     "StableGraph",
@@ -60,9 +60,6 @@ class StableGraph(NamedTuple):
             val[v] += 1
         return tuple(val)
 
-    def legs_at(self, v: int) -> Tuple[int, ...]:
-        return tuple(l + 1 for l, w in enumerate(self.legs) if w == v)
-
     def is_connected(self) -> bool:
         V = self.num_vertices
         parent = list(range(V))
@@ -77,11 +74,6 @@ class StableGraph(NamedTuple):
             parent[find(i)] = find(j)
         return len({find(v) for v in range(V)}) == 1
 
-    def is_stable(self) -> bool:
-        return self.is_connected() and all(
-            2 * gv - 2 + nv > 0 for gv, nv in zip(self.genera, self.valences())
-        )
-
     def to_json(self) -> dict:
         return {
             "vertices": [{"genus": gv} for gv in self.genera],
@@ -91,11 +83,35 @@ class StableGraph(NamedTuple):
 
     @staticmethod
     def from_json(obj: dict) -> "StableGraph":
-        genera = tuple(v["genus"] for v in obj["vertices"])
-        edges = tuple(sorted(tuple(sorted(e)) for e in obj["edges"]))
-        legs_map = {item["label"]: item["vertex"] for item in obj["legs"]}
-        legs = tuple(legs_map[l] for l in sorted(legs_map))
-        return StableGraph(genera, edges, legs)
+        """Read a graph in the ``to_json`` schema.  Raises ValueError with a
+        one-line message on a missing key, a vertex index out of range, leg
+        labels other than 1..n, a negative genus, a disconnected graph or an
+        unstable vertex."""
+        try:
+            genera = tuple(v["genus"] for v in obj["vertices"])
+            edges = tuple(sorted(tuple(sorted(e)) for e in obj["edges"]))
+            legs_map = {item["label"]: item["vertex"] for item in obj["legs"]}
+            V, n = len(genera), len(obj["legs"])
+        except KeyError as exc:
+            raise ValueError(f"graph file: missing key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"graph file: malformed graph ({exc})") from None
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("graph file: an edge is not a pair of vertex indices")
+        for x in [x for e in edges for x in e] + list(legs_map.values()):
+            if type(x) is not int or not 0 <= x < V:
+                raise ValueError(f"graph file: vertex index {x!r} is not in 0..{V - 1}")
+        if set(legs_map) != set(range(1, n + 1)):
+            raise ValueError(f"graph file: the {n} leg labels are not 1..{n}")
+        if any(type(gv) is not int or gv < 0 for gv in genera):
+            raise ValueError("graph file: a genus is not an integer >= 0")
+        graph = StableGraph(genera, edges, tuple(legs_map[l] for l in range(1, n + 1)))
+        if V == 0 or not graph.is_connected():
+            raise ValueError("graph file: the graph is empty or not connected")
+        for v, (gv, nv) in enumerate(zip(genera, graph.valences())):
+            if 2 * gv - 2 + nv <= 0:
+                raise ValueError(f"graph file: vertex {v} is unstable (2g - 2 + n <= 0)")
+        return graph
 
 
 class CatalogEntry(NamedTuple):
@@ -105,9 +121,11 @@ class CatalogEntry(NamedTuple):
 
 
 def _colors(graph: StableGraph) -> List[Tuple]:
-    return [
-        (graph.genera[v], graph.legs_at(v)) for v in range(graph.num_vertices)
-    ]
+    """(genus, leg labels) per vertex."""
+    labels: List[List[int]] = [[] for _ in graph.genera]
+    for l, v in enumerate(graph.legs):
+        labels[v].append(l + 1)
+    return [(gv, tuple(ls)) for gv, ls in zip(graph.genera, labels)]
 
 
 def _refined_colors(graph: StableGraph) -> List[Tuple]:
@@ -238,131 +256,97 @@ def canonical_key(graph: StableGraph) -> bytes:
     return _canonicalize(graph)[0]
 
 
-def _degree_vectors(mindeg: Sequence[int], total: int) -> Iterator[Tuple[int, ...]]:
-    V = len(mindeg)
-
-    def rec(i: int, rem: int):
-        if i == V - 1:
-            if rem >= mindeg[i]:
-                yield (rem,)
-            return
-        tail_min = sum(mindeg[i + 1 :])
-        for d in range(mindeg[i], rem - tail_min + 1):
-            for rest in rec(i + 1, rem - d):
-                yield (d,) + rest
-
-    if sum(mindeg) <= total:
-        yield from rec(0, total)
-
-
-def _multigraphs(deg: Sequence[int]) -> Iterator[Tuple[Edge, ...]]:
-    """All multigraphs (as sorted edge tuples) with the exact degree sequence."""
-    V = len(deg)
-
-    def rec(i: int, rem: List[int], acc: List[Edge]):
-        if i == V:
-            yield tuple(acc)
-            return
-        r = rem[i]
-        later = sum(rem[i + 1 :])
-
-        def distribute(j: int, s: int):
-            # distribute s edge-ends of vertex i to vertices j..V-1
-            if s == 0:
-                yield from rec(i + 1, rem, acc)
-                return
-            if j == V:
-                return
-            cap = min(s, rem[j])
-            room = sum(rem[x] for x in range(j + 1, V))
-            lo = max(0, s - room)
-            for m in range(lo, cap + 1):
-                rem[j] -= m
-                acc.extend([(i, j)] * m)
-                yield from distribute(j + 1, s - m)
-                del acc[len(acc) - m :]
-                rem[j] += m
-
-        for loops in range(r // 2 + 1):
-            s = r - 2 * loops
-            if s > later:
+def _degenerations(graph: StableGraph) -> Iterator[Tuple[StableGraph, Edge]]:
+    """The graphs with one more edge that contract to ``graph``, each with its
+    new edge: a loop at a vertex of positive genus, or a vertex split in two
+    stable sides joined by the new edge, the second side becoming the last
+    vertex.  Splits that keep a loop are skipped: a loop outranks the new
+    edge in ``_is_largest_edge``, so those children would be dropped."""
+    genera, edges, legs = graph
+    V = len(genera)
+    loops = [i for i, j in edges if i == j]
+    for v, gv in enumerate(genera):
+        if gv > 0:
+            child = genera[:v] + (gv - 1,) + genera[v + 1 :]
+            yield StableGraph(child, tuple(sorted(edges + ((v, v),))), legs), (v, v)
+        if any(u != v for u in loops):
+            continue
+        # every loop at v joins the two sides; each other half-edge at v (an
+        # edge end or a leg) goes to either side, except that the first one
+        # stays, so the two sides are never swapped
+        base = [(v, V) if e == (v, v) else e for e in edges]
+        lv = loops.count(v)
+        free = [
+            (k, end) for k, e in enumerate(edges) if e[0] != e[1]
+            for end in (0, 1) if e[end] == v
+        ]
+        free += [(None, l) for l, w in enumerate(legs) if w == v]
+        h = 2 * lv + len(free)
+        free = free[1:]
+        for size in range(len(free) + 1):
+            moved = lv + size  # half-edges on the new side
+            # genus g1 stays and gv - g1 moves; each side also gets the new edge
+            splits = [
+                g1 for g1 in range(gv + 1)
+                if 2 * g1 + h - moved >= 2 and 2 * (gv - g1) + moved >= 2
+            ]
+            if not splits:
                 continue
-            acc.extend([(i, i)] * loops)
-            rem[i] = 0
-            yield from distribute(i + 1, s)
-            rem[i] = r
-            del acc[len(acc) - loops :]
+            for subset in combinations(free, size):
+                new_edges = base + [(v, V)]
+                new_legs = list(legs)
+                for k, end in subset:
+                    if k is None:
+                        new_legs[end] = V
+                    else:
+                        # V is the largest index, so the pair stays sorted
+                        new_edges[k] = (edges[k][1 - end], V)
+                split_edges = tuple(sorted(new_edges))
+                split_legs = tuple(new_legs)
+                for g1 in splits:
+                    child = genera[:v] + (g1,) + genera[v + 1 :] + (gv - g1,)
+                    yield StableGraph(child, split_edges, split_legs), (v, V)
 
-    yield from rec(0, list(deg), [])
 
+def _is_largest_edge(graph: StableGraph, edge: Edge) -> bool:
+    """True iff no edge of ``graph`` has a larger color than ``edge``.  A vertex
+    is colored by (genus, leg labels, valence), an edge by (is loop, sorted end
+    colors); both colors are isomorphism invariants."""
+    colors = [c + (nv,) for c, nv in zip(_colors(graph), graph.valences())]
 
-def _nondecreasing_tuples(length: int, lo: int, total_max: int) -> Iterator[Tuple[int, ...]]:
-    def rec(k: int, minv: int, budget: int):
-        if k == 0:
-            yield ()
-            return
-        for v in range(minv, budget + 1):
-            if v * k > budget:
-                break
-            for rest in rec(k - 1, v, budget - v):
-                yield (v,) + rest
+    def color(e: Edge) -> Tuple:
+        i, j = e
+        return (i == j,) + tuple(sorted((colors[i], colors[j])))
 
-    yield from rec(length, lo, total_max)
+    top = color(edge)
+    return all(color(e) <= top for e in graph.edges)
 
 
 @lru_cache(maxsize=None)
 def enumerate_graphs(g: int, n: int) -> Tuple[CatalogEntry, ...]:
     """One representative per isomorphism class of stable graphs for (g, n),
-    including the edge-less graph."""
+    including the edge-less graph, ordered by edge count and canonical key.
+
+    Level k holds the graphs with k edges.  Contracting a largest-colored
+    edge of such a graph gives a graph of level k - 1, so every class of
+    level k is a degeneration of a level k - 1 representative whose new edge
+    is largest-colored; only those children are canonicalized."""
     if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
         raise ValueError("unstable (g, n) = (%d, %d)" % (g, n))
-    seen: Dict[bytes, CatalogEntry] = {}
-    max_v = 2 * g - 2 + n
-    for V in range(1, max_v + 1):
-        for gvec in _nondecreasing_tuples(V, 0, g):
-            h1 = g - sum(gvec)
-            if h1 < 0:
-                continue
-            E = h1 + V - 1
-            for legassign in product(range(V), repeat=n):
-                # among vertices of equal genus the leg-label sets must be
-                # sorted; every isomorphism class has such a representative
-                legsets: List[List[int]] = [[] for _ in range(V)]
-                for l, v in enumerate(legassign):
-                    legsets[v].append(l)
-                ok = True
-                for v in range(1, V):
-                    if gvec[v] == gvec[v - 1] and tuple(legsets[v]) < tuple(
-                        legsets[v - 1]
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                legcnt = [len(s) for s in legsets]
-                # vertices interchangeable before edges are placed: equal
-                # genus and no legs; require nonincreasing degrees there
-                twin = [
-                    v > 0 and gvec[v] == gvec[v - 1] and not legsets[v] and not legsets[v - 1]
-                    for v in range(V)
-                ]
-                mindeg = [
-                    max(0 if V == 1 else 1, 3 - 2 * gvec[v] - legcnt[v])
-                    for v in range(V)
-                ]
-                if sum(mindeg) > 2 * E:
-                    continue
-                for deg in _degree_vectors(mindeg, 2 * E):
-                    if any(twin[v] and deg[v] > deg[v - 1] for v in range(V)):
-                        continue
-                    for edges in _multigraphs(deg):
-                        graph = StableGraph(tuple(gvec), edges, tuple(legassign))
-                        if not graph.is_connected():
-                            continue
-                        key, aut, canon = _canonicalize(graph)
-                        if key not in seen:
-                            seen[key] = CatalogEntry(canon, aut, key)
-    return tuple(sorted(seen.values(), key=lambda e: (e.graph.num_edges, e.canonical_key)))
+    key, aut, canon = _canonicalize(StableGraph((g,), (), (0,) * n))
+    level = [CatalogEntry(canon, aut, key)]
+    catalog: List[CatalogEntry] = []
+    while level:
+        catalog.extend(level)
+        seen: Dict[bytes, CatalogEntry] = {}
+        for entry in level:
+            for child, edge in _degenerations(entry.graph):
+                if _is_largest_edge(child, edge):
+                    key, aut, canon = _canonicalize(child)
+                    if key not in seen:
+                        seen[key] = CatalogEntry(canon, aut, key)
+        level = sorted(seen.values(), key=lambda e: e.canonical_key)
+    return tuple(catalog)
 
 
 def is_bridge(graph: StableGraph, e: int) -> bool:

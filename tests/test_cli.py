@@ -180,6 +180,20 @@ class TestBoundary:
             capsys, *graph, "--num", "1", "--den", "0", "--heights", "1,2"
         )
 
+    def test_freq_rejects_malformed_graph_files(self, capsys, tmp_path):
+        path = tmp_path / "mc.json"
+        g0, g1 = {"genus": 0}, {"genus": 1}
+        for doc in (
+            {"vertices": [g1], "edges": [[0, 0]]},  # no "legs"
+            {"vertices": [g1], "edges": [[0, 3]], "legs": []},  # no vertex 3
+            {"vertices": [g1, g1], "edges": [], "legs": []},  # disconnected
+            {"vertices": [g0], "edges": [[0, 0]], "legs": []},  # unstable vertex
+            {"vertices": [g1], "edges": [], "legs": [{"vertex": 0, "label": 2}]},
+            {"vertices": [{"genus": -1}], "edges": [[0, 0]], "legs": []},
+        ):
+            path.write_text(json.dumps(doc))
+            self.assert_rejected(capsys, "freq", "--multicurve", str(path))
+
 
 class TestGraphsAndChecks:
     def test_graphs_listing(self, capsys):

@@ -2,11 +2,13 @@
 import json
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvq import stable_graphs
 from mvq.stable_graphs import (
     StableGraph,
     aut_order,
@@ -17,11 +19,51 @@ from mvq.stable_graphs import (
 )
 
 
+# (g, n) -> (number of stable graphs, sum of 1/|Aut|), recorded with the
+# enumerator that built every multigraph of each degree vector and deduplicated
+# them by canonical key, before catalogs were built by degeneration
+PINNED_CATALOGS = {
+    (0, 4): (4, Fraction(4)),
+    (0, 5): (26, Fraction(26)),
+    (0, 6): (236, Fraction(236)),
+    (0, 7): (2752, Fraction(2752)),
+    (1, 1): (2, Fraction(3, 2)),
+    (1, 2): (5, Fraction(7, 2)),
+    (1, 3): (23, Fraction(16)),
+    (1, 4): (163, Fraction(115)),
+    (1, 5): (1576, Fraction(1130)),
+    (2, 0): (7, Fraction(17, 6)),
+    (2, 1): (16, Fraction(83, 12)),
+    (2, 2): (75, Fraction(69, 2)),
+    (2, 3): (555, Fraction(1619, 6)),
+    (3, 0): (42, Fraction(121, 12)),
+    (3, 1): (181, Fraction(635, 12)),
+    (3, 2): (1355, Fraction(2675, 6)),
+    (4, 0): (379, Fraction(15521, 240)),
+    (4, 1): (2666, Fraction(52387, 90)),
+}
+
+
 class TestCatalogCounts:
     def test_counts_including_edgeless(self):
-        assert len(enumerate_graphs(2, 0)) == 7
-        assert len(enumerate_graphs(1, 2)) == 5
-        assert len(enumerate_graphs(3, 0)) == 42
+        for (g, n), (count, mass) in PINNED_CATALOGS.items():
+            catalog = enumerate_graphs(g, n)
+            assert len(catalog) == count, (g, n)
+            assert sum(Fraction(1, e.aut_order) for e in catalog) == mass, (g, n)
+
+    def test_few_candidates_per_graph(self, monkeypatch):
+        calls = [0]
+        canonicalize = stable_graphs._canonicalize
+
+        def counted(graph):
+            calls[0] += 1
+            return canonicalize(graph)
+
+        monkeypatch.setattr(stable_graphs, "_canonicalize", counted)
+        for g, n in ((4, 0), (4, 1)):
+            calls[0] = 0
+            catalog = enumerate_graphs.__wrapped__(g, n)
+            assert calls[0] <= 2 * len(catalog), (g, n, calls[0])
 
     def test_edgeless_graph_present(self):
         for g, n in ((2, 0), (1, 2), (3, 0)):
