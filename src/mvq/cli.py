@@ -131,7 +131,7 @@ def cmd_lyapunov(args) -> int:
 def cmd_freq(args) -> int:
     obj = _load_graph(args.multicurve)
     graph = StableGraph.from_json(obj)
-    weights = tuple(obj.get("weights", [1] * graph.num_edges))
+    weights = obj.get("weights", [1] * graph.num_edges)
     mc = multicurve_stats.Multicurve(graph, weights)
     val = multicurve_stats.frequency(mc)
     _emit(args, [f"c(gamma) = {val}"], {"frequency": str(val)})
@@ -156,6 +156,8 @@ def cmd_expect(args) -> int:
             raise ValueError(
                 f"{flag} needs one entry per edge ({graph.num_edges}), got {len(vec)}"
             )
+    if H is not None and any(h <= 0 for h in H):
+        raise ValueError("--heights must be positive")
     try:
         val = multicurve_stats.expectation_ratio(graph, num, den, H)
     except ValueError as exc:

@@ -9,11 +9,10 @@ graph's volume contribution.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .exact_arith import PiRational, factorial
 from .stable_graphs import StableGraph, aut_order
@@ -33,38 +32,24 @@ def _cost_array(m: int, N: int, parity: Optional[int]) -> List[int]:
     return W
 
 
-def _capped_convolve(a: Sequence[int], b: Sequence[int], N: int) -> List[int]:
-    # exact integer convolution truncated at N; numpy int64 when provably
-    # overflow-free, pure Python otherwise
-    bound = (N + 1) * max(a) * max(b)
-    if bound < 2 ** 62:
-        out = np.convolve(
-            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        )[: N + 1]
-        return [int(x) for x in out]
-    out = [0] * (N + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(1, N + 1 - i):
-            out[i + j] += ai * b[j]
-    return out
-
-
 def _combined_sum(arrays: Sequence[Sequence[int]], N: int) -> int:
-    if len(arrays) == 1:
-        return sum(arrays[0])
+    """sum over c_1 + ... + c_k <= N of prod arrays[i][c_i]."""
     *head, last = arrays
-    conv = list(head[0])
-    for arr in head[1:]:
-        conv = _capped_convolve(conv, arr, N)
-    prefix = [0] * (N + 1)
-    run = 0
-    for c in range(N + 1):
-        run += last[c]
-        prefix[c] = run
+    # Kronecker substitution: each head array becomes one integer with
+    # `size` bytes per coefficient.  Every coefficient of every partial
+    # product is nonnegative and at most the product of the head arrays'
+    # sums, so none spills into the next coefficient's bytes.
+    size = math.prod(sum(arr) for arr in head).bit_length() // 8 + 1
+    mask = (1 << (8 * size * (N + 1))) - 1
+    conv = 1
+    for arr in head:
+        packed = b"".join(x.to_bytes(size, "little") for x in arr)
+        conv = (conv * int.from_bytes(packed, "little")) & mask
+    coeffs = conv.to_bytes(size * (N + 1), "little")
+    prefix = list(accumulate(last))
     return sum(
-        conv[c] * prefix[N - c] for c in range(N + 1) if conv[c]
+        int.from_bytes(coeffs[c * size : (c + 1) * size], "little") * prefix[N - c]
+        for c in range(N + 1)
     )
 
 
@@ -75,22 +60,28 @@ def lattice_sum(
     (H, b) with sum H_i b_i <= N and b satisfying the parity constraints
     (each constraint: the listed coordinates of b have even sum)."""
     k = len(m)
-    constraints = [frozenset(c) for c in parity if c]
-    if not constraints:
-        arrays = [_cost_array(m[i], N, None) for i in range(k)]
-        return _combined_sum(arrays, N)
+    if k == 0:
+        raise ValueError("need at least one exponent")
+    if any(e < 0 for e in m):
+        raise ValueError("exponents must be nonnegative")
+    if N <= 0:
+        raise ValueError("N must be positive")
+    constraints = [tuple(c) for c in parity if c]
+    if any(not 0 <= i < k for c in constraints for i in c):
+        raise ValueError(f"parity indices must lie in 0..{k - 1}")
+    constrained = frozenset().union(*constraints)
+    choices = [(0, 1) if i in constrained else (None,) for i in range(k)]
+    cache: Dict[Tuple[int, Optional[int]], List[int]] = {}
     total = 0
-    cache: Dict[Tuple[int, int], List[int]] = {}
-
-    def arr(i: int, p: int) -> List[int]:
-        if (i, p) not in cache:
-            cache[(i, p)] = _cost_array(m[i], N, p)
-        return cache[(i, p)]
-
-    for ps in product((0, 1), repeat=k):
+    for ps in product(*choices):
         if any(sum(ps[i] for i in c) % 2 for c in constraints):
             continue
-        total += _combined_sum([arr(i, ps[i]) for i in range(k)], N)
+        arrays = []
+        for i, p in enumerate(ps):
+            if (i, p) not in cache:
+                cache[(i, p)] = _cost_array(m[i], N, p)
+            arrays.append(cache[(i, p)])
+        total += _combined_sum(arrays, N)
     return total
 
 
@@ -99,8 +90,6 @@ def normalized_lattice_sum(
 ) -> Fraction:
     """lattice_sum scaled by N^(|m|+k); converges to
     prod m_i! zeta(m_i+1) / ((|m|+k)! * index)."""
-    if N <= 0:
-        raise ValueError("N must be positive")
     d = sum(m) + len(m)
     return Fraction(lattice_sum(m, N, parity), N ** d)
 

@@ -8,7 +8,6 @@ polynomials from the volume engine.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import product
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
@@ -29,6 +28,10 @@ class Multicurve(NamedTuple):
     weights: Tuple[int, ...]
 
     def validate(self) -> None:
+        if not isinstance(self.weights, (list, tuple)) or any(
+            type(h) is not int for h in self.weights
+        ):
+            raise ValueError("weights must be a list of integers")
         if len(self.weights) != self.graph.num_edges:
             raise ValueError("need one weight per edge")
         if any(h <= 0 for h in self.weights):
@@ -196,17 +199,7 @@ def prob_heights(
 
 def ztilde_integral(graph: StableGraph, H: Sequence[int]) -> Fraction:
     """Exact integral of the density over the simplex: equals op_Y(H, P)/d!
-    with d the homogeneity degree plus the number of edges (Dirichlet
-    integral, monomial by monomial)."""
-    poly = graph_polynomial(graph)
-    k = graph.num_edges
-    total = Fraction(0)
-    for expo, coeff in poly.items():
-        dirichlet = Fraction(
-            math.prod(factorial(m) for m in expo), factorial(sum(expo) + k)
-        )
-        term = coeff * dirichlet
-        for m, h in zip(expo, H):
-            term /= h ** (m + 1)
-        total += term
-    return total
+    with d = 6g-6+2n, the homogeneity degree plus the number of edges
+    (Dirichlet integral, monomial by monomial)."""
+    d = 6 * graph.genus - 6 + 2 * graph.num_legs
+    return op_Y(graph_polynomial(graph), H) / factorial(d)

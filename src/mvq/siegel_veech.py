@@ -79,9 +79,9 @@ def _piece_factor(g: int, n: int) -> Fraction | None:
 
 def c_area_boundary(g: int, n: int) -> Fraction:
     """(pi^2/3) * c_area computed from volumes of boundary pieces."""
-    if g == 0:
-        return _c_area_boundary_genus0(n)
-    if g < 1 or (g == 1 and n < 2):
+    if g == 0 and n < 4:
+        raise ValueError("requires n >= 4")
+    if g < 0 or (g == 1 and n < 2):
         raise ValueError("requires g >= 2, or g = 1 with n >= 2")
     d = 6 * g - 6 + 2 * n
     ell = 4 * g - 4 + n
@@ -102,39 +102,14 @@ def c_area_boundary(g: int, n: int) -> Fraction:
                 / factorial(d - 1)
             )
             rhs = rhs + coeff * (_vol_q(g1, n1) * _vol_q(g2, n2))
-    nonsep = (
-        Fraction(factorial(ell), factorial(ell - 2))
-        * Fraction(factorial(d - 3), factorial(d - 1))
-    ) * _vol_q(g - 1, n + 2)
-    rhs = rhs * Fraction(1, 8) + nonsep
-    ratio = rhs / masur_veech_volume(g, n).total
-    return ratio.rational(-2) / 3
-
-
-def _r(m: int) -> Fraction:
-    # regularized (2m-7)!/(m-4)!, extended to m = 3 by its limit value 1/2
-    if m == 3:
-        return Fraction(1, 2)
-    return Fraction(factorial(2 * m - 7), factorial(m - 4))
-
-
-def _c_area_boundary_genus0(n: int) -> Fraction:
-    if n < 4:
-        raise ValueError("requires n >= 4")
-    rhs = PiRational.zero()
-    for n1 in range(3, n):
-        n2 = n + 2 - n1
-        if n2 < 3:
-            continue
-        coeff = (
-            Fraction(factorial(n - 4), factorial(2 * n - 7))
-            * _r(n1)
-            * _r(n2)
-            * Fraction(factorial(n), factorial(n1 - 1) * factorial(n2 - 1))
-        )
-        rhs = rhs + coeff * (_vol_q(0, n1) * _vol_q(0, n2))
     rhs = rhs * Fraction(1, 8)
-    ratio = rhs / genus0_volume(n)
+    if g >= 1:
+        # the non-separating term: genus 0 has no non-separating curve
+        rhs = rhs + (
+            Fraction(factorial(ell), factorial(ell - 2))
+            * Fraction(factorial(d - 3), factorial(d - 1))
+        ) * _vol_q(g - 1, n + 2)
+    ratio = rhs / _vol_q(g, n)
     return ratio.rational(-2) / 3
 
 

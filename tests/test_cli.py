@@ -169,6 +169,16 @@ class TestBoundary:
         for N in ("0", "-3"):
             self.assert_rejected(capsys, "oracle", "lattice", "--m", "1", "--N", N)
 
+    def test_oracle_lattice_rejects_bad_exponents_and_parity(self, capsys):
+        for args in (
+            ("--m=-1",),
+            ("--m", "1,-3"),
+            ("--m", ""),
+            ("--m", "1", "--parity", "5"),
+            ("--m", "1", "--parity=-1"),
+        ):
+            self.assert_rejected(capsys, "oracle", "lattice", *args, "--N", "10")
+
     def test_expect_rejects_vectors_of_wrong_length(self, capsys, tmp_path):
         doc = {"vertices": [{"genus": 1}], "edges": [[0, 0]], "legs": []}
         path = tmp_path / "graph.json"
@@ -179,6 +189,8 @@ class TestBoundary:
         self.assert_rejected(
             capsys, *graph, "--num", "1", "--den", "0", "--heights", "1,2"
         )
+        for heights in ("--heights", "0"), ("--heights=-1",):
+            self.assert_rejected(capsys, *graph, "--num", "1", "--den", "0", *heights)
 
     def test_freq_rejects_malformed_graph_files(self, capsys, tmp_path):
         path = tmp_path / "mc.json"
@@ -190,6 +202,10 @@ class TestBoundary:
             {"vertices": [g0], "edges": [[0, 0]], "legs": []},  # unstable vertex
             {"vertices": [g1], "edges": [], "legs": [{"vertex": 0, "label": 2}]},
             {"vertices": [{"genus": -1}], "edges": [[0, 0]], "legs": []},
+            *(
+                {"vertices": [g1], "edges": [[0, 0]], "legs": [], "weights": w}
+                for w in (["a"], [1.5], 2, [True], [0])
+            ),
         ):
             path.write_text(json.dumps(doc))
             self.assert_rejected(capsys, "freq", "--multicurve", str(path))

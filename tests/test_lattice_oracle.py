@@ -39,7 +39,14 @@ def brute_weighted_sum(m, N, parity=()):
 class TestLatticeSum:
     @pytest.mark.parametrize(
         "m,N",
-        [((1,), 12), ((3,), 10), ((1, 1), 10), ((1, 3), 9), ((3, 1), 9)],
+        [
+            ((1,), 12),
+            ((3,), 10),
+            ((1, 1), 10),
+            ((1, 3), 9),
+            ((3, 1), 9),
+            ((21, 19), 10),  # coefficients beyond int64
+        ],
     )
     def test_matches_brute_force(self, m, N):
         assert lattice_sum(m, N) == brute_weighted_sum(m, N)
@@ -50,6 +57,9 @@ class TestLatticeSum:
             ((1,), 12, ((0,),)),
             ((1, 3), 10, ((0, 1),)),
             ((1, 1), 10, ((0,), (1,))),
+            ((21, 19), 10, ((0, 1),)),
+            ((3, 1), 1, ((1,),)),  # the even-b array is all zeros
+            ((1, 3), 10, ((0, 0),)),  # b_0 + b_0 is always even
         ],
     )
     def test_parity_constraints_match_brute_force(self, m, N, parity):
