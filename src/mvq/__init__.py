@@ -1,7 +1,11 @@
 """Exact computation of Masur-Veech volumes of moduli spaces of quadratic
 differentials, area Siegel-Veech constants, multicurve frequencies and
-square-tiled surface statistics, via stable-graph enumeration and psi-class
-intersection numbers."""
+square-tiled surface statistics from psi-class intersection numbers.
+
+Volumes and their per-cylinder parts come from a recursion on one marked
+edge of the stable-graph Feynman sum, with no graph in it; the stable-graph
+catalog serves per-graph breakdowns, the graph-sum Siegel-Veech route and
+the lattice oracle, and checks the recursion."""
 
 from .exact_arith import ExactnessError, PiRational, bernoulli, zeta_even
 from .correlators import correlator, c_gk, epsilon_d, max_bracket, normalized_bracket

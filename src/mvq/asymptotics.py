@@ -10,9 +10,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
-import mpmath
-import numpy as np
-
 from .correlators import correlator
 from .exact_arith import (
     PiRational,
@@ -24,6 +21,8 @@ from .exact_arith import (
 from .multicurve_stats import cylinder_distribution
 from .stable_graphs import StableGraph
 from .volume_engine import vol_graph
+
+EULER_GAMMA = 0.5772156649015329  # float(mpmath.euler)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +192,8 @@ def vol_gamma_k(g: int, k: int) -> PiRational:
 @lru_cache(maxsize=None)
 def harmonic_H(k: int, m: int) -> Fraction:
     """H_k(m) = sum over j_1+...+j_k = m, j_i >= 1, of prod 1/j_i (exact)."""
+    if k < 0 or m < 0:
+        raise ValueError("k and m must be nonnegative")
     if k < 1 or m < k:
         return Fraction(0) if m != 0 or k != 0 else Fraction(1)
     if k == 1:
@@ -206,6 +207,8 @@ def harmonic_H(k: int, m: int) -> Fraction:
 def harmonic_Z(k: int, m: int) -> PiRational:
     """Z_k(m) = sum over j_1+...+j_k = m of prod zeta(2 j_i)/j_i (exact,
     a rational multiple of pi^(2m))."""
+    if k < 0 or m < 0:
+        raise ValueError("k and m must be nonnegative")
     if k < 1 or m < k:
         return PiRational.zero() if m != 0 or k != 0 else PiRational(1, 0)
     if k == 1:
@@ -216,8 +219,10 @@ def harmonic_Z(k: int, m: int) -> PiRational:
     return total
 
 
-def _conv_powers(vec: np.ndarray, k: int, m: int) -> float:
-    acc = vec.copy()
+def _conv_powers(values: List[float], k: int, m: int) -> float:
+    import numpy as np
+
+    acc = vec = np.array(values)
     for _ in range(k - 1):
         acc = np.convolve(acc, vec)[: m + 1]
     return float(acc[m])
@@ -225,15 +230,15 @@ def _conv_powers(vec: np.ndarray, k: int, m: int) -> float:
 
 def harmonic_H_float(k: int, m: int) -> float:
     """Float evaluation of H_k(m), suitable for large m."""
-    vec = np.zeros(m + 1)
-    vec[1:] = 1.0 / np.arange(1, m + 1)
-    return _conv_powers(vec, k, m)
+    return _conv_powers([0.0] + [1.0 / j for j in range(1, m + 1)], k, m)
 
 
 def harmonic_Z_float(k: int, m: int) -> float:
     """Float evaluation of Z_k(m)/pi^(2m) rescaled by zeta values directly:
     returns the numeric value of sum prod zeta(2 j_i)/j_i."""
-    vec = np.zeros(m + 1)
+    import mpmath
+
+    vec = [0.0] * (m + 1)
     for j in range(1, m + 1):
         # zeta(2j) is 1 to double precision once 2j exceeds ~55
         z = float(mpmath.zeta(2 * j)) if 2 * j <= 56 else 1.0
@@ -254,6 +259,8 @@ class SeriesCoefficients(NamedTuple):
 def _c_exact(max_j: int) -> Tuple[mpmath.mpf, ...]:
     """Taylor coefficients of Gamma(1+x) at 0, from exponentiating the
     log-Gamma series -gamma x + sum (-1)^n zeta(n) x^n / n."""
+    import mpmath
+
     with mpmath.workdps(40):
         l = [mpmath.mpf(0), -mpmath.euler]
         for n in range(2, max_j + 1):
@@ -267,6 +274,10 @@ def _c_exact(max_j: int) -> Tuple[mpmath.mpf, ...]:
 def series_coeffs(max_j: int) -> SeriesCoefficients:
     """Taylor coefficients c_j of the gamma function at 1, and the derived
     sequences A_j (series inverse) and B_j (log-2 twisted inverse)."""
+    import mpmath
+
+    if max_j < 0:
+        raise ValueError("max_j must be nonnegative")
     with mpmath.workdps(40):
         c = _c_exact(max_j)
         A: List[mpmath.mpf] = [mpmath.mpf(1)]
@@ -289,7 +300,7 @@ def series_checks(terms: int = 60) -> Dict[str, Tuple[float, float]]:
     """Partial sums of the A_j/B_j series against their closed forms.
     Returns name -> (computed, closed_form)."""
     sc = series_coeffs(terms)
-    gamma = float(mpmath.euler)
+    gamma = EULER_GAMMA
     log2 = math.log(2)
     sqrtpi = math.sqrt(math.pi)
     sumA = sum(sc.A[j] / 2 ** j for j in range(terms + 1))
@@ -326,7 +337,7 @@ def expansion_residual(k: int, m: int) -> Tuple[float, float]:
 # Poisson model for the number of cylinders
 
 def poisson_lambda(g: int) -> float:
-    return (math.log(6 * g - 6) + float(mpmath.euler)) / 2 + (math.log(2) - 1)
+    return (math.log(6 * g - 6) + EULER_GAMMA) / 2 + (math.log(2) - 1)
 
 
 class PoissonModel(NamedTuple):

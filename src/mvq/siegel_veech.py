@@ -14,7 +14,6 @@ from .exact_arith import PiRational, factorial
 from .stable_graphs import StableGraph, is_bridge
 from .volume_engine import (
     Poly,
-    genus0_volume,
     graph_polynomial,
     masur_veech_volume,
     op_Z,
@@ -54,14 +53,10 @@ def c_area_graphsum(g: int, n: int) -> Fraction:
 
 
 def _vol_q(g: int, n: int) -> PiRational:
-    # boundary pieces use the unstable conventions Vol Q_{0,3} = 4 and
-    # Vol Q_{1,1} = 2 pi^2 / 3
+    # boundary pieces use the convention Vol Q_{0,3} = 4; the recursion gives
+    # the convention Vol Q_{1,1} = 2 pi^2 / 3 by itself
     if (g, n) == (0, 3):
         return PiRational(4, 0)
-    if (g, n) == (1, 1):
-        return PiRational(Fraction(2, 3), 2)
-    if g == 0:
-        return genus0_volume(n)
     return masur_veech_volume(g, n).total
 
 

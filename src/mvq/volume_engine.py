@@ -2,17 +2,20 @@
 
 Each stable graph contributes a polynomial in one variable per edge; summing a
 zeta-evaluation of these polynomials over the full catalog yields the total
-volume of the corresponding moduli space of quadratic differentials.
+volume of the corresponding moduli space of quadratic differentials.  Totals
+and per-cylinder parts come from a recursion on that sum with no graph in it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Sequence, Tuple
 
-from .correlators import correlator
+from .correlators import _submultisets, correlator
 from .exact_arith import ExactnessError, PiRational, factorial, zeta_even
 from .stable_graphs import CatalogEntry, StableGraph, aut_order, enumerate_graphs
 
@@ -159,12 +162,6 @@ def op_Y(poly: Poly, H: Sequence[int]) -> Fraction:
     return total
 
 
-class VolumeReport(NamedTuple):
-    total: PiRational
-    per_graph: Tuple[Tuple[CatalogEntry, PiRational], ...]
-    per_cylinder_count: Dict[int, PiRational]
-
-
 def vol_graph(graph: StableGraph, aut: int | None = None) -> PiRational:
     """Volume contribution of a single stable graph (zero if edgeless)."""
     if graph.num_edges == 0:
@@ -172,23 +169,122 @@ def vol_graph(graph: StableGraph, aut: int | None = None) -> PiRational:
     return op_Z(graph_polynomial(graph, aut))
 
 
+# ---------------------------------------------------------------------------
+# Graph-free volumes.  Over the catalog, the Z-evaluated graph polynomials
+# form a Feynman sum: <tau_d>_{g_v} at each vertex, P(a, b) at each edge and
+# 1/|Aut| per graph.  Values are vectors over the number of edges, as integer
+# numerators over one denominator, so that the convolutions run on integers.
+Vector = Tuple[int, Tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)
+def _propagator(a: int, b: int) -> Fraction:
+    """P(a, b) = 2 (2a+2b+1)! zeta(2a+2b+2) / (pi^(2a+2b+2) a! b!)."""
+    return 2 * _zeta_factor(2 * a + 2 * b + 1) / (factorial(a) * factorial(b))
+
+
+def _room(g: int, S: Tuple[int, ...]) -> int:
+    """3g - 3 + |S| - sum(S): the most edges a graph of type (g, S) has."""
+    return 3 * g - 3 + len(S) - sum(S)
+
+
+def _add(sums: Dict[int, List[int]], den: int, scale: int, vec: Sequence[int], k0: int):
+    """sums[den][k0 + k] += scale * vec[k] for each k."""
+    row = sums[den]
+    for k, w in enumerate(vec, k0):
+        row[k] += scale * w
+
+
+def _vector(sums: Dict[int, List[int]], divisors: Sequence[int]) -> Vector:
+    """sum over d of sums[d] / d, with entry k divided by divisors[k], over
+    one reduced denominator."""
+    den = lcm(*sums) * lcm(*divisors)
+    nums = [sum(row[k] * (den // d // q) for d, row in sums.items())
+            for k, q in enumerate(divisors)]
+    common = gcd(den, *nums)
+    return den // common, tuple(x // common for x in nums)
+
+
+@lru_cache(maxsize=None)
+def _wick(g: int, S: Tuple[int, ...]) -> Vector:
+    """W(g, S)[k]: the Feynman sum over connected stable graphs of genus g
+    with k edges and external descendants S (sorted).  Marking an oriented
+    edge and cutting it gives 2k W(g, S)[k] = sum_{a,b} P(a,b) (W(g-1,
+    S+{a,b})[k-1] + sum over S1+S2 = S, g1+g2 = g and i+j = k-1 of
+    W(g1, S1+{a})[i] W(g2, S2+{b})[j])."""
+    top = _room(g, S)
+    if top < 0 or 2 * g - 2 + len(S) <= 0:
+        return 1, ()
+    sums: Dict[int, List[int]] = defaultdict(lambda: [0] * (top + 1))
+    if S:
+        c = correlator(g, S)
+        sums[c.denominator][0] = c.numerator
+    for b in range(top if g >= 1 else 0):  # the marked edge does not separate
+        den, vec = _contracted(g - 1, tuple(sorted(S + (b,))), b)
+        _add(sums, den, 1, vec, 1)
+    # the split sum is symmetric under swapping the ends of the marked edge,
+    # so it runs over one end of each swapped pair and counts it twice
+    groups = tuple(sorted({x: S.count(x) for x in S}.items()))
+    for S1, S2, weight in _submultisets(groups):
+        for g1 in range(g + 1):
+            g2 = g - g1
+            # an unstable side has no graph, and recursing into it never ends
+            if (g1, S1) > (g2, S2) or min(2 * g1 + len(S1), 2 * g2 + len(S2)) < 2:
+                continue
+            pair = weight * (1 if (g1, S1) == (g2, S2) else 2)
+            for b in range(_room(g2, S2) + 2):
+                den_r, right = _wick(g2, tuple(sorted(S2 + (b,))))
+                den_l, left = _contracted(g1, S1, b)
+                for i, v in enumerate(left, 1):
+                    if v:
+                        _add(sums, den_l * den_r, pair * v, right, i)
+    return _vector(sums, [max(2 * k, 1) for k in range(top + 1)])
+
+
+@lru_cache(maxsize=None)
+def _contracted(g: int, S: Tuple[int, ...], b: int) -> Vector:
+    """sum_a P(a, b) W(g, S+{a})[i] for each i: the propagator of a cut edge
+    summed over one of its ends once per (g, S, b), not once per split."""
+    size = _room(g, S) + 2
+    sums: Dict[int, List[int]] = defaultdict(lambda: [0] * size)
+    for a in range(size):
+        p = _propagator(a, b)
+        den, vec = _wick(g, tuple(sorted(S + (a,))))
+        _add(sums, p.denominator * den, p.numerator, vec, 0)
+    return _vector(sums, [1] * size)
+
+
+class VolumeReport:
+    """Vol Q_{g,n} and its k-cylinder parts, from the edge recursion.  The
+    per-graph breakdown walks the stable-graph catalog when first read."""
+
+    def __init__(self, g: int, n: int, per_cylinder_count: Dict[int, PiRational]):
+        self.g, self.n, self.per_cylinder_count = g, n, per_cylinder_count
+        self.total = sum(per_cylinder_count.values(), PiRational.zero())
+
+    @cached_property
+    def per_graph(self) -> Tuple[Tuple[CatalogEntry, PiRational], ...]:
+        catalog = enumerate_graphs(self.g, self.n)
+        return tuple(
+            (e, vol_graph(e.graph, e.aut_order)) for e in catalog if e.graph.edges
+        )
+
+
 @lru_cache(maxsize=None)
 def masur_veech_volume(g: int, n: int) -> VolumeReport:
     """Total volume of the principal stratum of the moduli space of genus-g
-    quadratic differentials with n poles, with per-graph and per-cylinder
+    quadratic differentials with n poles, with per-cylinder and per-graph
     breakdowns."""
-    per_graph: List[Tuple[CatalogEntry, PiRational]] = []
-    per_k: Dict[int, PiRational] = {}
-    total = PiRational.zero()
-    for entry in enumerate_graphs(g, n):
-        if entry.graph.num_edges == 0:
-            continue
-        v = vol_graph(entry.graph, entry.aut_order)
-        per_graph.append((entry, v))
-        k = entry.graph.num_edges
-        per_k[k] = per_k.get(k, PiRational.zero()) + v
-        total = total + v
-    return VolumeReport(total, tuple(per_graph), per_k)
+    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise ValueError(f"unstable (g, n) = ({g}, {n}): need 2g - 2 + n > 0")
+    if (g, n) == (0, 3):
+        raise ValueError("Vol Q_{0,3} is undefined: its only stable graph has no edge")
+    den, vec = _wick(g, (0,) * n)
+    pref = Fraction(2 ** (g + 1) * factorial(4 * g - 4 + n), factorial(6 * g - 7 + 2 * n))
+    pref /= den
+    return VolumeReport(g, n, {
+        k: PiRational(pref * w, 6 * g - 6 + 2 * n) for k, w in enumerate(vec) if k and w
+    })
 
 
 def genus0_volume(n: int) -> PiRational:

@@ -96,6 +96,17 @@ class TestCriterion02PerGraph:
         assert vols == sorted(F(q) for q in ("8/45", "1/135", "2/27", "2/27"))
         assert all(v.pi_power == 4 for _, v in rep.per_graph)
 
+    @pytest.mark.parametrize("g,n", sorted(GOLDEN_TABLE) + [(3, 3), (4, 1)])
+    def test_catalog_sum_equals_recursion(self, g, n):
+        # the catalog route stays as an independent check of the edge recursion
+        rep = masur_veech_volume(g, n)
+        per_k = {}
+        for entry, v in rep.per_graph:
+            k = entry.graph.num_edges
+            per_k[k] = per_k.get(k, PiRational.zero()) + v
+        assert per_k == rep.per_cylinder_count
+        assert sum(per_k.values(), PiRational.zero()) == rep.total
+
 
 class TestCriterion03SiegelVeech:
     @pytest.mark.parametrize("gn", sorted(GOLDEN_TABLE))

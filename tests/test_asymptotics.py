@@ -2,7 +2,11 @@
 separating contributions, harmonic sums, series expansions, and the Poisson
 model for cylinder counts."""
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +170,18 @@ class TestPoissonModel:
             mass = sum(model.pmf(k) for k in range(1, 120))
             assert mass == pytest.approx(1.0, abs=1e-9)
             assert 0 <= model.tv_distance <= 1
+
+
+def test_cold_import_loads_neither_numpy_nor_mpmath():
+    # only the float helpers need them, so they import them when called
+    code = "import sys, mvq.cli\nprint(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

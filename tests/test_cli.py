@@ -179,6 +179,32 @@ class TestBoundary:
         ):
             self.assert_rejected(capsys, "oracle", "lattice", *args, "--N", "10")
 
+    # (0, 3) has only the edgeless graph, so its volume is 0 and every ratio
+    # over it divides by zero
+    def test_volume_rejects_unstable_and_zero_three(self, capsys):
+        for gn in (("0", "2"), ("1", "0"), ("0", "3")):
+            self.assert_rejected(capsys, "volume", *gn)
+
+    def test_sv_rejects_zero_three(self, capsys):
+        self.assert_rejected(capsys, "sv", "0", "3", "--method", "both")
+
+    def test_lyapunov_rejects_zero_three(self, capsys):
+        self.assert_rejected(capsys, "lyapunov", "0", "3")
+
+    def test_oracle_count_rejects_zero_three(self, capsys):
+        self.assert_rejected(capsys, "oracle", "count", "0", "3", "--N", "10")
+
+    def test_pk_rejects_zero_three(self, capsys):
+        self.assert_rejected(capsys, "pk", "0", "3")
+
+    def test_harmonic_rejects_negative_arguments(self, capsys):
+        for kind in ("H", "Z"):
+            for k, m in (("-1", "2"), ("2", "-1")):
+                self.assert_rejected(capsys, "harmonic", kind, k, m)
+
+    def test_coeffs_rejects_negative_order(self, capsys):
+        self.assert_rejected(capsys, "coeffs", "-1")
+
     def test_expect_rejects_vectors_of_wrong_length(self, capsys, tmp_path):
         doc = {"vertices": [{"genus": 1}], "edges": [[0, 0]], "legs": []}
         path = tmp_path / "graph.json"

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from mvq import volume_engine
 from mvq.exact_arith import PiRational, zeta_even
+from mvq.multicurve_stats import b_gn, cylinder_distribution
+from mvq.siegel_veech import c_area_boundary
 from mvq.stable_graphs import StableGraph, enumerate_graphs
 from mvq.volume_engine import (
     genus0_volume,
@@ -126,6 +129,37 @@ class TestVolumes:
     def test_genus0_closed_form_matches_engine(self):
         for n in range(4, 8):
             assert genus0_volume(n) == masur_veech_volume(0, n).total
+
+    def test_beyond_catalog_reach(self):
+        # (5, 0) and (4, 2) were also found by summing their catalogs; the
+        # (6, 0) catalog takes minutes to build
+        assert masur_veech_volume(5, 0).total == pr(
+            Fraction(7607231, 790778419200), 24
+        )
+        assert masur_veech_volume(4, 2).total == pr(
+            Fraction(160909109, 3038089420800), 22
+        )
+        assert masur_veech_volume(6, 0).total == pr(
+            Fraction(51582017261473, 101735601235107840000), 30
+        )
+
+    def test_totals_need_no_catalog(self, monkeypatch):
+        def no_catalog(g, n):
+            raise RuntimeError("catalog walked for (%d, %d)" % (g, n))
+
+        monkeypatch.setattr(volume_engine, "enumerate_graphs", no_catalog)
+        masur_veech_volume.cache_clear()
+        assert set(masur_veech_volume(4, 1).per_cylinder_count) == set(range(1, 11))
+        assert cylinder_distribution(3, 1)[1] > 0
+        assert b_gn(2, 3).pi_power == 12
+        assert c_area_boundary(2, 4) > 0
+        with pytest.raises(RuntimeError):
+            masur_veech_volume(2, 0).per_graph
+
+    def test_unstable_and_zero_three_rejected(self):
+        for g, n in ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (-1, 4), (2, -1)):
+            with pytest.raises(ValueError):
+                masur_veech_volume(g, n)
 
     def test_vol_graph_feeds_report(self):
         rep = masur_veech_volume(2, 0)
