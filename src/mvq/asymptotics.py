@@ -337,6 +337,8 @@ def expansion_residual(k: int, m: int) -> Tuple[float, float]:
 # Poisson model for the number of cylinders
 
 def poisson_lambda(g: int) -> float:
+    if g < 2:
+        raise ValueError(f"the Poisson model needs g >= 2, got g = {g}")
     return (math.log(6 * g - 6) + EULER_GAMMA) / 2 + (math.log(2) - 1)
 
 

@@ -218,6 +218,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_poisson(args) -> int:
+    if args.kmax < 1:
+        raise ValueError(f"--kmax must be at least 1, got {args.kmax}")
     model = asymptotics.poisson_model(args.g)
     lines = [f"lambda({args.g}) = {_fmt_float(model.lam, args.digits)}"]
     pmf = {k: model.pmf(k) for k in range(1, args.kmax + 1)}

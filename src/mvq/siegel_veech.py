@@ -11,13 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact_arith import PiRational, factorial
-from .stable_graphs import StableGraph, is_bridge
-from .volume_engine import (
-    Poly,
-    graph_polynomial,
-    masur_veech_volume,
-    op_Z,
-)
+from .stable_graphs import StableGraph, enumerate_graphs, is_bridge
+from .volume_engine import Poly, linear_edge_Z, masur_veech_volume
 
 
 def partial_gamma(graph: StableGraph, poly: Poly) -> Poly:
@@ -35,21 +30,18 @@ def partial_gamma(graph: StableGraph, poly: Poly) -> Poly:
     return out
 
 
-def sv_graph(graph: StableGraph, aut: int | None = None) -> PiRational:
-    """Graph contribution to Vol * c_area, before the global 3/pi^2 factor."""
-    if graph.num_edges == 0:
-        return PiRational.zero()
-    return op_Z(partial_gamma(graph, graph_polynomial(graph, aut)))
-
-
 def c_area_graphsum(g: int, n: int) -> Fraction:
-    """(pi^2/3) * c_area computed from the stable-graph catalog."""
-    report = masur_veech_volume(g, n)
+    """(pi^2/3) * c_area computed from the stable-graph catalog: the sum over
+    graphs of op_Z(partial_gamma(graph, graph_polynomial(graph))), divided by
+    the volume."""
+    volume = masur_veech_volume(g, n).total
     total = PiRational.zero()
-    for entry, _ in report.per_graph:
-        total = total + sv_graph(entry.graph, entry.aut_order)
-    ratio = total / report.total
-    return ratio.rational(0)
+    for entry in enumerate_graphs(g, n):
+        graph = entry.graph
+        # twice partial_gamma's weights, so that they are integers
+        weights = [1 if is_bridge(graph, e) else 2 for e in range(graph.num_edges)]
+        total = total + linear_edge_Z(graph, weights, entry.aut_order)
+    return (total / volume).rational(0) / 2
 
 
 def _vol_q(g: int, n: int) -> PiRational:

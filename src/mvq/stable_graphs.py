@@ -352,8 +352,10 @@ def enumerate_graphs(g: int, n: int) -> Tuple[CatalogEntry, ...]:
 def is_bridge(graph: StableGraph, e: int) -> bool:
     """True iff removing edge e disconnects the graph."""
     i, j = graph.edges[e]
-    if i == j:
+    if i == j or graph.edges.count((i, j)) > 1:  # a loop, or one of parallel edges
         return False
+    if graph.h1 == 0:  # a tree, or a graph that is already disconnected
+        return True
     rest = graph.edges[:e] + graph.edges[e + 1 :]
     return not StableGraph(graph.genera, rest, graph.legs).is_connected()
 

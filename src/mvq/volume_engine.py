@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
@@ -34,7 +33,9 @@ def _compositions(total: int, parts: int):
 
 
 @lru_cache(maxsize=None)
-def _kontsevich_terms(g: int, n: int) -> Tuple[Tuple[Tuple[int, ...], Fraction], ...]:
+def _kontsevich_terms(g: int, n: int) -> Tuple[int, Tuple[Tuple[Tuple[int, ...], int], ...]]:
+    """The terms of kontsevich_poly(g, n) as integer numerators over one
+    denominator: (den, ((exponents, numerator), ...))."""
     d_total = 3 * g - 3 + n
     denom_pow = Fraction(1, 2 ** (5 * g - 6 + 2 * n))
     terms = []
@@ -46,7 +47,8 @@ def _kontsevich_terms(g: int, n: int) -> Tuple[Tuple[Tuple[int, ...], Fraction],
         for di in d:
             coeff /= factorial(di)
         terms.append((tuple(2 * di for di in d), coeff))
-    return tuple(terms)
+    den = lcm(*(c.denominator for _, c in terms))
+    return den, tuple((expo, c.numerator * (den // c.denominator)) for expo, c in terms)
 
 
 def kontsevich_poly(g: int, n: int) -> Poly:
@@ -54,7 +56,37 @@ def kontsevich_poly(g: int, n: int) -> Poly:
     symmetric polynomial of degree 6g-6+2n in the n boundary lengths."""
     if n < 1 or 2 * g - 2 + n <= 0:
         raise ValueError("unstable (g, n)")
-    return {expo: coeff for expo, coeff in _kontsevich_terms(g, n)}
+    den, terms = _kontsevich_terms(g, n)
+    return {expo: Fraction(num, den) for expo, num in terms}
+
+
+def _graph_numerators(graph: StableGraph) -> Tuple[int, Dict[Tuple[int, ...], int]]:
+    """raw_graph_polynomial(graph) as integer numerators over one denominator.
+    The vertex factors are multiplied one at a time with each exponent vector
+    packed into one integer, `width` bits per edge, so that multiplying two
+    monomials adds their keys."""
+    E = graph.num_edges
+    # incident edge indices per vertex (loops listed twice), and legs per vertex
+    incident = [[idx for idx, ends in enumerate(graph.edges) for w in ends if w == v]
+                for v in range(graph.num_vertices)]
+    legs_at = [graph.legs.count(v) for v in range(graph.num_vertices)]
+    # no exponent exceeds 1 + the degree of prod_v N_{g_v, n_v}
+    width = (6 * graph.genus - 5 + 2 * graph.num_legs - 2 * E).bit_length()
+    den = 1
+    poly = {sum(1 << (width * e) for e in range(E)): 1}  # the product over edges of b_e
+    for v, legs in enumerate(legs_at):
+        vden, terms = _kontsevich_terms(graph.genera[v], legs + len(incident[v]))
+        factor: Dict[int, int] = defaultdict(int)
+        for expo, num in terms:
+            if not any(expo[:legs]):
+                factor[sum(e << (width * i) for i, e in zip(incident[v], expo[legs:]))] += num
+        product: Dict[int, int] = defaultdict(int)
+        for k1, c1 in poly.items():
+            for k2, c2 in factor.items():
+                product[k1 + k2] += c1 * c2
+        poly, den = product, den * vden
+    mask = (1 << width) - 1
+    return den, {tuple(k >> (width * e) & mask for e in range(E)): c for k, c in poly.items()}
 
 
 def raw_graph_polynomial(graph: StableGraph) -> Poly:
@@ -62,61 +94,25 @@ def raw_graph_polynomial(graph: StableGraph) -> Poly:
     graph without any combinatorial prefactor, one variable per edge.  Vertex
     factors are evaluated with leg variables set to zero and loop edges
     appearing twice."""
-    V = graph.num_vertices
-    E = graph.num_edges
-    # incident edge indices per vertex (loops listed twice)
-    incident: List[List[int]] = [[] for _ in range(V)]
-    for idx, (i, j) in enumerate(graph.edges):
-        incident[i].append(idx)
-        incident[j].append(idx)
+    den, poly = _graph_numerators(graph)
+    return {expo: Fraction(num, den) for expo, num in poly.items()}
 
-    legs_at = [0] * V
-    for v in graph.legs:
-        legs_at[v] += 1
 
-    # per vertex: list of (edge exponent increments, coefficient), with all
-    # leg slots forced to exponent zero
-    vertex_terms: List[List[Tuple[Tuple[int, ...], Fraction]]] = []
-    for v in range(V):
-        nv = legs_at[v] + len(incident[v])
-        terms = []
-        for expo, coeff in _kontsevich_terms(graph.genera[v], nv):
-            if any(e != 0 for e in expo[: legs_at[v]]):
-                continue
-            incr = [0] * E
-            for slot, e in zip(incident[v], expo[legs_at[v] :]):
-                incr[slot] += e
-            terms.append((tuple(incr), coeff))
-        vertex_terms.append(terms)
-
-    poly: Poly = {}
-    for combo in product(*vertex_terms):
-        expo = [1] * E  # the product over edges of b_e
-        coeff = Fraction(1)
-        for incr, c in combo:
-            coeff *= c
-            for idx, e in enumerate(incr):
-                expo[idx] += e
-        key = tuple(expo)
-        poly[key] = poly.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in poly.items() if v != 0}
+def _prefactor(graph: StableGraph, aut: int | None) -> Fraction:
+    """The factor by which graph_polynomial scales raw_graph_polynomial."""
+    g, n = graph.genus, graph.num_legs
+    aut = aut_order(graph) if aut is None else aut
+    return Fraction(
+        2 ** (6 * g - 5 + 2 * n) * factorial(4 * g - 4 + n),
+        factorial(6 * g - 7 + 2 * n) * 2 ** (graph.num_vertices - 1) * aut,
+    )
 
 
 def graph_polynomial(graph: StableGraph, aut: int | None = None) -> Poly:
     """Contribution polynomial of a stable graph: the raw counting polynomial
     scaled by the combinatorial prefactor, the vertex-count power of 1/2 and
     the automorphism order."""
-    if aut is None:
-        aut = aut_order(graph)
-    g = graph.genus
-    n = graph.num_legs
-    pref = (
-        Fraction(2 ** (6 * g - 5 + 2 * n))
-        * factorial(4 * g - 4 + n)
-        / factorial(6 * g - 7 + 2 * n)
-        / 2 ** (graph.num_vertices - 1)
-        / aut
-    )
+    pref = _prefactor(graph, aut)
     return {expo: coeff * pref for expo, coeff in raw_graph_polynomial(graph).items()}
 
 
@@ -134,21 +130,47 @@ def op_Z(poly: Poly) -> PiRational:
     Every exponent must be odd so that only even zeta values appear, and
     every monomial must have the same sum(m_e + 1), the power of pi that
     factors out of the whole sum."""
-    total = Fraction(0)
-    pi_power = None
+    return _z_sum(poly)
+
+
+def linear_edge_Z(graph: StableGraph, weights: Sequence[int], aut: int) -> PiRational:
+    """op_Z of graph_polynomial(graph, aut) with each monomial weighted by the
+    sum of weights[e] over the edges e in which it is linear, in one integer
+    pass: no polynomial of rationals is built."""
+    den, poly = _graph_numerators(graph)
+    return _z_sum(poly, weights) * (_prefactor(graph, aut) / den)
+
+
+@lru_cache(maxsize=None)
+def _zeta_numerators(top: int) -> Tuple[int, Tuple[int, ...]]:
+    """_zeta_factor(m) for odd m <= top as integers over one lcm (0 at even m)."""
+    den = lcm(*(_zeta_factor(m).denominator for m in range(1, top + 1, 2)))
+    return den, tuple(int(_zeta_factor(m) * den) if m % 2 else 0 for m in range(top + 1))
+
+
+def _z_sum(poly: Dict[Tuple[int, ...], int | Fraction], weights=None) -> PiRational:
+    """op_Z of a polynomial with integer or rational coefficients, with each
+    monomial weighted by the sum of weights[e] over the edges e in which it is
+    linear if weights are given.  The zeta factors are integers over one lcm."""
+    zden, znum = _zeta_numerators(max((max(expo, default=0) for expo in poly), default=0))
+    total = 0
+    shape = None  # the power of pi and the number of variables
     for expo, coeff in poly.items():
-        term = coeff
+        z = 1 if weights is None else sum(w for w, m in zip(weights, expo) if m == 1)
+        if not z:
+            continue
+        here = (sum(expo) + len(expo), len(expo))
+        if shape is None:
+            shape = here
+        elif here != shape:
+            raise ExactnessError("polynomial mixes (pi power, variables) %s and %s" % (shape, here))
         for m in expo:
-            term *= _zeta_factor(m)
-        total += term
-        d = sum(expo) + len(expo)
-        if pi_power is None:
-            pi_power = d
-        elif d != pi_power:
-            raise ExactnessError(
-                "polynomial mixes pi powers %d and %d" % (pi_power, d)
-            )
-    return PiRational(total, pi_power or 0)
+            if m % 2 != 1:
+                raise ExactnessError(f"even exponent {m} in zeta evaluation")
+            z *= znum[m]
+        total += coeff * z
+    pi_power, E = shape or (0, 0)
+    return PiRational(Fraction(total, zden**E), pi_power)
 
 
 def op_Y(poly: Poly, H: Sequence[int]) -> Fraction:

@@ -160,6 +160,7 @@ class TestBoundary:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        return err
 
     def test_oracle_count_rejects_nonpositive_N(self, capsys):
         for N in ("0", "-3"):
@@ -204,6 +205,14 @@ class TestBoundary:
 
     def test_coeffs_rejects_negative_order(self, capsys):
         self.assert_rejected(capsys, "coeffs", "-1")
+
+    def test_poisson_rejects_genus_below_two(self, capsys):
+        for g in ("0", "1"):
+            assert "g >= 2" in self.assert_rejected(capsys, "poisson", g)
+
+    def test_poisson_rejects_nonpositive_kmax(self, capsys):
+        for kmax in ("0", "-2"):
+            self.assert_rejected(capsys, "poisson", "3", "--kmax", kmax)
 
     def test_expect_rejects_vectors_of_wrong_length(self, capsys, tmp_path):
         doc = {"vertices": [{"genus": 1}], "edges": [[0, 0]], "legs": []}

@@ -1,8 +1,12 @@
 """Tests for area Siegel-Veech constants and Lyapunov exponent sums."""
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from mvq import volume_engine
+from mvq.exact_arith import PiRational, factorial, zeta_even
 from mvq.siegel_veech import (
     c_area_boundary,
     c_area_graphsum,
@@ -10,7 +14,14 @@ from mvq.siegel_veech import (
     partial_gamma,
 )
 from mvq.stable_graphs import StableGraph, enumerate_graphs, is_bridge
-from mvq.volume_engine import graph_polynomial
+from mvq.volume_engine import (
+    graph_polynomial,
+    kontsevich_poly,
+    linear_edge_Z,
+    masur_veech_volume,
+    op_Z,
+    raw_graph_polynomial,
+)
 
 # (g, n) -> (pi^2/3) * c_area, frozen golden values
 SV_TABLE = {
@@ -90,3 +101,66 @@ class TestDerivativeOperator:
         )
         out = partial_gamma(theta, poly)
         assert out  # the triple-edge graph has linear monomials in each edge
+
+
+# the (g, n) of the acceptance suite's golden table, and (3, 2)
+GOLDEN_GN = [(0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5),
+             (2, 0), (2, 1), (2, 2), (3, 0), (4, 0), (3, 2)]
+
+
+def _reference_raw_polynomial(graph):
+    """raw_graph_polynomial as a loop over the combinations of one Kontsevich
+    term per vertex, with rational coefficients throughout."""
+    vertex_terms = []
+    for v, gv in enumerate(graph.genera):
+        slots = [e for e, ends in enumerate(graph.edges) for w in ends if w == v]
+        legs = graph.legs.count(v)
+        terms = []
+        for expo, coeff in kontsevich_poly(gv, legs + len(slots)).items():
+            if not any(expo[:legs]):
+                incr = [0] * graph.num_edges
+                for e, m in zip(slots, expo[legs:]):
+                    incr[e] += m
+                terms.append((incr, coeff))
+        vertex_terms.append(terms)
+    poly = {}
+    for combo in product(*vertex_terms):
+        expo = tuple(1 + sum(incr[e] for incr, _ in combo) for e in range(graph.num_edges))
+        poly[expo] = poly.get(expo, 0) + math.prod(c for _, c in combo)
+    return poly
+
+
+def _reference_Z(poly):
+    """op_Z with one rational zeta factor per exponent."""
+    (power,) = {sum(expo) + len(expo) for expo in poly} or {0}
+    total = sum(
+        c * math.prod(factorial(m) * zeta_even(m + 1).coeff for m in expo)
+        for expo, c in poly.items()
+    )
+    return PiRational(total, power)
+
+
+class TestIntegerPass:
+    @pytest.mark.parametrize("g,n", GOLDEN_GN)
+    def test_term_equals_rational_route(self, g, n):
+        for entry in enumerate_graphs(g, n):
+            graph, aut = entry.graph, entry.aut_order
+            weights = [1 if is_bridge(graph, e) else 2 for e in range(graph.num_edges)]
+            term = linear_edge_Z(graph, weights, aut) * Fraction(1, 2)
+            if not graph.edges:
+                assert term.is_zero()
+                continue
+            linear = partial_gamma(graph, graph_polynomial(graph, aut))
+            assert term == op_Z(linear) == _reference_Z(linear)
+            assert raw_graph_polynomial(graph) == _reference_raw_polynomial(graph)
+
+    def test_graph_sum_reads_no_per_graph_volume(self, monkeypatch):
+        def no_volume(graph, aut=None):
+            raise RuntimeError("per-graph volume built")
+
+        monkeypatch.setattr(volume_engine, "vol_graph", no_volume)
+        masur_veech_volume.cache_clear()
+        assert c_area_graphsum(2, 1) == SV_TABLE[(2, 1)]
+        assert lyapunov_sum_plus(1, 3) == LYAPUNOV_TABLE[(1, 3)]
+        with pytest.raises(RuntimeError):
+            masur_veech_volume(2, 1).per_graph

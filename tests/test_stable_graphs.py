@@ -163,6 +163,15 @@ class TestEdgeOperations:
         loop = StableGraph((1,), ((0, 0),), ())
         assert not is_bridge(loop, 0)
 
+    def test_bridge_means_removal_disconnects(self):
+        # trees at (0, 6), parallel edges at (3, 0), both at (2, 2)
+        for g, n in ((0, 6), (3, 0), (2, 2)):
+            for entry in enumerate_graphs(g, n):
+                graph = entry.graph
+                for e in range(graph.num_edges):
+                    rest = graph._replace(edges=graph.edges[:e] + graph.edges[e + 1:])
+                    assert is_bridge(graph, e) == (_n_components(rest) > 1)
+
     def test_bridge_count_matches_cut(self):
         for entry in enumerate_graphs(2, 0):
             for e in range(len(entry.graph.edges)):
@@ -203,3 +212,18 @@ class TestJsonSchema:
         back = graph.to_json()
         for key in ("vertices", "edges", "legs"):
             assert back[key] == doc[key]
+
+    # every (g, n) up to (3, 0), (2, 2) and (0, 6)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([(0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0)]),
+        st.data(),
+    )
+    def test_round_trip_of_relabeled_graph(self, gn, data):
+        entry = data.draw(st.sampled_from(enumerate_graphs(*gn)))
+        perm = data.draw(st.permutations(range(entry.graph.num_vertices)))
+        graph = _relabel(entry.graph, perm)
+        back = StableGraph.from_json(json.loads(json.dumps(graph.to_json())))
+        assert back == graph
+        assert canonical_key(back) == entry.canonical_key
+        assert aut_order(back) == entry.aut_order

@@ -53,8 +53,13 @@ class TestOperators:
         assert op_Z(poly) == Fraction(6) * zeta_even(4)
 
     def test_z_operator_rejects_even_exponents(self):
-        # an even exponent, and monomials whose powers of pi differ
-        for poly in ({(2,): Fraction(1)}, {(1,): Fraction(1), (3,): Fraction(1)}):
+        # an even exponent, monomials whose powers of pi differ, and monomials
+        # in different numbers of variables
+        for poly in (
+            {(2,): Fraction(1)},
+            {(1,): Fraction(1), (3,): Fraction(1)},
+            {(3,): Fraction(1), (1, 1): Fraction(1)},
+        ):
             with pytest.raises(AssertionError):
                 op_Z(poly)
 
