@@ -464,12 +464,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    # the catalog exists at (1, 1), but the stratum it would describe does not
+    gn = (getattr(args, "g", None), getattr(args, "n", None))
+    if gn == (1, 1) and args.cmd != "graphs":
+        print("error: the stratum Q(1, -1) at (g, n) = (1, 1) is empty", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

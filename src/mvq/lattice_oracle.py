@@ -5,52 +5,53 @@ H . b <= N converge, after normalization by N^(|m|+k), to the zeta-evaluation
 of the corresponding monomial.  Summing the counting polynomial of a stable
 graph over such pairs counts square-tiled surfaces and converges to the
 graph's volume contribution.
+
+Lattice work is shared for one N.  Once a parity pattern fixes the parity of
+every constrained b_i, the sum depends only on the multiset of (exponent,
+parity) pairs: cost arrays are kept per pair, combined sums per sorted key of
+pairs, and within one lattice_sum call a sorted walk over the keys convolves
+each head they share once.  All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .exact_arith import PiRational, factorial
 from .stable_graphs import StableGraph, aut_order
 from .volume_engine import masur_veech_volume, raw_graph_polynomial
 
 
-def _cost_array(m: int, N: int, parity: Optional[int]) -> List[int]:
-    """W[c] = sum of b^m over pairs (h, b) with h*b = c, b of given parity
-    (None: unrestricted)."""
-    W = [0] * (N + 1)
-    start = 1 if parity is None else (2 if parity == 0 else 1)
-    step = 1 if parity is None else 2
-    for b in range(start, N + 1, step):
-        pw = b ** m
-        for c in range(b, N + 1, b):
-            W[c] += pw
-    return W
+# The lattice work of one N: the cost array of each (exponent, parity) pair
+# and the combined sum of each sorted key of such pairs.  Cleared when N changes.
+_memo_N = 0
+_arrays: Dict[Tuple[int, int], List[int]] = {}
+_sums: Dict[Tuple[Tuple[int, int], ...], int] = {}
 
 
-def _combined_sum(arrays: Sequence[Sequence[int]], N: int) -> int:
-    """sum over c_1 + ... + c_k <= N of prod arrays[i][c_i]."""
-    *head, last = arrays
-    # Kronecker substitution: each head array becomes one integer with
-    # `size` bytes per coefficient.  Every coefficient of every partial
-    # product is nonnegative and at most the product of the head arrays'
-    # sums, so none spills into the next coefficient's bytes.
-    size = math.prod(sum(arr) for arr in head).bit_length() // 8 + 1
-    mask = (1 << (8 * size * (N + 1))) - 1
-    conv = 1
-    for arr in head:
-        packed = b"".join(x.to_bytes(size, "little") for x in arr)
-        conv = (conv * int.from_bytes(packed, "little")) & mask
-    coeffs = conv.to_bytes(size * (N + 1), "little")
-    prefix = list(accumulate(last))
-    return sum(
-        int.from_bytes(coeffs[c * size : (c + 1) * size], "little") * prefix[N - c]
-        for c in range(N + 1)
-    )
+def _cost_array(m: int, parity: int, N: int) -> List[int]:
+    """W[c] = sum of b^m over pairs (h, b) with h*b = c and b even (parity 0),
+    odd (1) or either (-1: it sorts first, so keys of one call share longer heads)."""
+    if (m, parity) not in _arrays:
+        W = _arrays[m, parity] = [0] * (N + 1)
+        for b in range(2 if parity == 0 else 1, N + 1, 1 if parity < 0 else 2):
+            pw = b ** m
+            for c in range(b, N + 1, b):
+                W[c] += pw
+    return _arrays[m, parity]
+
+
+def _truncated_product(a: List[int], b: List[int], N: int) -> List[int]:
+    """Coefficients 0..N of a * b by one Kronecker-packed big-integer product.
+    No coefficient exceeds sum(a) * sum(b), so none spills out of its slot."""
+    size = (sum(a) * sum(b)).bit_length() // 8 + 1
+    A, B = (int.from_bytes(b"".join(x.to_bytes(size, "little") for x in v), "little")
+            for v in (a, b))
+    coeffs = (A * B).to_bytes(size * (2 * N + 1), "little")
+    return [int.from_bytes(coeffs[c * size : (c + 1) * size], "little") for c in range(N + 1)]
 
 
 def lattice_sum(
@@ -59,6 +60,7 @@ def lattice_sum(
     """Exact sum of prod b_i^{m_i} over pairs of positive integer vectors
     (H, b) with sum H_i b_i <= N and b satisfying the parity constraints
     (each constraint: the listed coordinates of b have even sum)."""
+    global _memo_N
     k = len(m)
     if k == 0:
         raise ValueError("need at least one exponent")
@@ -69,20 +71,34 @@ def lattice_sum(
     constraints = [tuple(c) for c in parity if c]
     if any(not 0 <= i < k for c in constraints for i in c):
         raise ValueError(f"parity indices must lie in 0..{k - 1}")
+    if N != _memo_N:
+        _memo_N = N
+        _arrays.clear()
+        _sums.clear()
     constrained = frozenset().union(*constraints)
-    choices = [(0, 1) if i in constrained else (None,) for i in range(k)]
-    cache: Dict[Tuple[int, Optional[int]], List[int]] = {}
-    total = 0
-    for ps in product(*choices):
-        if any(sum(ps[i] for i in c) % 2 for c in constraints):
-            continue
-        arrays = []
-        for i, p in enumerate(ps):
-            if (i, p) not in cache:
-                cache[(i, p)] = _cost_array(m[i], N, p)
-            arrays.append(cache[(i, p)])
-        total += _combined_sum(arrays, N)
-    return total
+    # each admissible parity pattern, as a sorted key of (exponent, parity)
+    keys = Counter(
+        tuple(sorted(zip(m, ps)))
+        for ps in product(*[(0, 1) if i in constrained else (-1,) for i in range(k)])
+        if not any(sum(ps[i] for i in c) % 2 for c in constraints)
+    )
+    # sorted walk over the new keys; stack[j] is the product of the arrays of
+    # head[:j + 1], so a head shared by neighbouring keys is convolved once
+    stack: List[List[int]] = []
+    head: Tuple[Tuple[int, int], ...] = ()
+    for key in sorted(keys.keys() - _sums.keys()):
+        shared = 0
+        while shared < len(head) and key[shared] == head[shared]:
+            shared += 1
+        del stack[shared:]
+        head = key[:-1]
+        for pair in head[shared:]:
+            W = _cost_array(*pair, N)
+            stack.append(_truncated_product(stack[-1], W, N) if stack else W)
+        prefix = list(accumulate(_cost_array(*key[-1], N)))
+        conv = stack[-1] if stack else [1]
+        _sums[key] = sum(x * prefix[N - c] for c, x in enumerate(conv))
+    return sum(mult * _sums[key] for key, mult in keys.items())
 
 
 def normalized_lattice_sum(

@@ -11,17 +11,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact_arith import PiRational, factorial
-from .stable_graphs import StableGraph, enumerate_graphs, is_bridge
+from .stable_graphs import StableGraph, bridges, enumerate_graphs
 from .volume_engine import Poly, linear_edge_Z, masur_veech_volume
 
 
 def partial_gamma(graph: StableGraph, poly: Poly) -> Poly:
     """Degree-one extraction: sum over edges of the terms linear in b_e,
     weighted by 1/2 when the edge is a bridge and 1 otherwise."""
-    chi = [
-        Fraction(1, 2) if is_bridge(graph, e) else Fraction(1)
-        for e in range(graph.num_edges)
-    ]
+    cut = bridges(graph)
+    chi = [Fraction(1, 2) if e in cut else Fraction(1) for e in range(graph.num_edges)]
     out: Poly = {}
     for expo, coeff in poly.items():
         weight = sum(chi[e] for e, m in enumerate(expo) if m == 1)
@@ -39,7 +37,8 @@ def c_area_graphsum(g: int, n: int) -> Fraction:
     for entry in enumerate_graphs(g, n):
         graph = entry.graph
         # twice partial_gamma's weights, so that they are integers
-        weights = [1 if is_bridge(graph, e) else 2 for e in range(graph.num_edges)]
+        cut = bridges(graph)
+        weights = [1 if e in cut else 2 for e in range(graph.num_edges)]
         total = total + linear_edge_Z(graph, weights, entry.aut_order)
     return (total / volume).rational(0) / 2
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Tuple
 
 __all__ = [
     "StableGraph",
     "CatalogEntry",
     "enumerate_graphs",
     "aut_order",
+    "bridges",
     "is_bridge",
     "cut_edge",
 ]
@@ -349,33 +350,45 @@ def enumerate_graphs(g: int, n: int) -> Tuple[CatalogEntry, ...]:
     return tuple(catalog)
 
 
+def bridges(graph: StableGraph) -> FrozenSet[int]:
+    """The edges whose removal disconnects a connected graph, by one low-link
+    depth-first search.  It steps along edge indices, not vertices, so a loop
+    or one of several parallel edges is never taken for a bridge."""
+    order: Dict[int, int] = {}  # discovery time per vertex
+    found = set()
+
+    def low(v: int, via: int) -> int:
+        """Earliest discovery time that v's subtree reaches by one back edge."""
+        order[v] = reach = len(order)
+        for idx, (i, j) in enumerate(graph.edges):
+            if v in (i, j) and idx != via:
+                w = i + j - v
+                if w in order:
+                    reach = min(reach, order[w])
+                    continue
+                sub = low(w, idx)
+                if sub > order[v]:
+                    found.add(idx)
+                reach = min(reach, sub)
+        return reach
+
+    low(0, -1)
+    return frozenset(found)
+
+
 def is_bridge(graph: StableGraph, e: int) -> bool:
     """True iff removing edge e disconnects the graph."""
-    i, j = graph.edges[e]
-    if i == j or graph.edges.count((i, j)) > 1:  # a loop, or one of parallel edges
-        return False
-    if graph.h1 == 0:  # a tree, or a graph that is already disconnected
-        return True
-    rest = graph.edges[:e] + graph.edges[e + 1 :]
-    return not StableGraph(graph.genera, rest, graph.legs).is_connected()
+    return e in bridges(graph)
 
 
 def _component(graph: StableGraph, start: int, skip_edge: int) -> List[int]:
-    adj: Dict[int, set] = {v: set() for v in range(graph.num_vertices)}
-    for idx, (i, j) in enumerate(graph.edges):
-        if idx == skip_edge:
-            continue
-        adj[i].add(j)
-        adj[j].add(i)
     seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return sorted(seen)
+    while True:
+        more = {i + j - v for idx, (i, j) in enumerate(graph.edges) if idx != skip_edge
+                for v in {i, j} & seen} - seen
+        if not more:
+            return sorted(seen)
+        seen |= more
 
 
 def cut_edge(graph: StableGraph, e: int):

@@ -198,6 +198,37 @@ class TestBoundary:
     def test_pk_rejects_zero_three(self, capsys):
         self.assert_rejected(capsys, "pk", "0", "3")
 
+    # Q(1, -1) is empty: nothing at (1, 1) has a volume or a statistic, even
+    # though the boundary route uses 2 pi^2 / 3 as the volume of a (1, 1) piece
+    def assert_empty_stratum(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Q(1, -1)" in err and "empty" in err
+
+    def test_volume_rejects_empty_stratum(self, capsys):
+        self.assert_empty_stratum(capsys, "volume", "1", "1")
+
+    def test_pk_rejects_empty_stratum(self, capsys):
+        self.assert_empty_stratum(capsys, "pk", "1", "1")
+
+    def test_sv_rejects_empty_stratum(self, capsys):
+        for method in ("graphsum", "both"):
+            self.assert_empty_stratum(capsys, "sv", "1", "1", "--method", method)
+
+    def test_lyapunov_rejects_empty_stratum(self, capsys):
+        self.assert_empty_stratum(capsys, "lyapunov", "1", "1")
+
+    def test_oracle_count_rejects_empty_stratum(self, capsys):
+        self.assert_empty_stratum(capsys, "oracle", "count", "1", "1", "--N", "10")
+
+    def test_empty_stratum_keeps_catalog_and_boundary_pieces(self, capsys):
+        code, out, _ = run(capsys, "graphs", "1", "1")
+        assert code == 0 and "(1, 1): 2" in out
+        code, out, _ = run(capsys, "sv", "1", "2", "--method", "both")
+        assert code == 0 and "MATCH" in out.splitlines()
+
     def test_harmonic_rejects_negative_arguments(self, capsys):
         for kind in ("H", "Z"):
             for k, m in (("-1", "2"), ("2", "-1")):

@@ -1,10 +1,14 @@
 """Tests for the finite-N lattice-point oracle for square-tiled counts."""
 import itertools
+import math
+import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvq import lattice_oracle
 from mvq.exact_arith import factorial
 from mvq.lattice_oracle import (
     lattice_sum,
@@ -33,6 +37,48 @@ def brute_weighted_sum(m, N, parity=()):
         for h in itertools.product(range(1, N + 1), repeat=k):
             if sum(x * y for x, y in zip(b, h)) <= N:
                 total += weight
+    return total
+
+
+def _reference_cost_array(m, N, parity):
+    W = [0] * (N + 1)
+    start = 1 if parity is None else (2 if parity == 0 else 1)
+    step = 1 if parity is None else 2
+    for b in range(start, N + 1, step):
+        pw = b ** m
+        for c in range(b, N + 1, b):
+            W[c] += pw
+    return W
+
+
+def _reference_combined_sum(arrays, N):
+    *head, last = arrays
+    size = math.prod(sum(arr) for arr in head).bit_length() // 8 + 1
+    mask = (1 << (8 * size * (N + 1))) - 1
+    conv = 1
+    for arr in head:
+        packed = b"".join(x.to_bytes(size, "little") for x in arr)
+        conv = (conv * int.from_bytes(packed, "little")) & mask
+    coeffs = conv.to_bytes(size * (N + 1), "little")
+    prefix = list(accumulate(last))
+    return sum(
+        int.from_bytes(coeffs[c * size : (c + 1) * size], "little") * prefix[N - c]
+        for c in range(N + 1)
+    )
+
+
+def reference_lattice_sum(m, N, parity=()):
+    """The oracle's loop before cost arrays and combined sums were shared:
+    one combined sum per parity pattern, with nothing kept between calls."""
+    constraints = [tuple(c) for c in parity if c]
+    constrained = frozenset().union(*constraints)
+    choices = [(0, 1) if i in constrained else (None,) for i in range(len(m))]
+    total = 0
+    for ps in itertools.product(*choices):
+        if any(sum(ps[i] for i in c) % 2 for c in constraints):
+            continue
+        arrays = [_reference_cost_array(e, N, p) for e, p in zip(m, ps)]
+        total += _reference_combined_sum(arrays, N)
     return total
 
 
@@ -96,6 +142,65 @@ class TestLatticeSum:
         assert normalized_lattice_sum(m, N) == Fraction(
             lattice_sum(m, N), N ** (sum(m) + len(m))
         )
+
+
+# exponents repeat, parity groups may repeat an index, and consecutive cases
+# change N, which replaces the oracle's memo between calls
+_cases = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.sampled_from([0, 1, 3, 5]), min_size=k, max_size=k).map(tuple),
+        st.integers(min_value=1, max_value=40),
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=k - 1), max_size=3),
+            max_size=3,
+        ),
+    )
+)
+
+
+class TestSharedLatticeWork:
+    @settings(max_examples=40, deadline=None)
+    @given(cases=st.lists(_cases, min_size=1, max_size=6))
+    def test_equals_reference_loop(self, cases):
+        for m, N, parity in cases:
+            assert lattice_sum(m, N, parity) == reference_lattice_sum(m, N, parity)
+
+    def test_alternating_N_equals_reference_loop(self):
+        # three parity patterns share one key, and index 3 is repeated
+        m, parity = (1, 1, 1, 3), ((0, 1, 2), (3, 3))
+        for N in (30, 7, 30, 31, 7, 1, 30):
+            assert lattice_sum(m, N, parity) == reference_lattice_sum(m, N, parity)
+            assert lattice_sum(m[:2], N) == reference_lattice_sum(m[:2], N)
+
+    def test_report_rows_equal_reference_loop(self, monkeypatch):
+        got = volume_convergence_report(3, 0, 30)
+        monkeypatch.setattr(lattice_oracle, "lattice_sum", reference_lattice_sum)
+        assert volume_convergence_report(3, 0, 30) == got
+
+    def test_work_is_shared(self, monkeypatch):
+        """At (3, 0) the 147 monomial sums need 17 distinct cost arrays, and
+        the sorted walk needs at most 156 big-integer products for them."""
+        counts = {"products": 0, "calls": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        volume_convergence_report(3, 0, 1)  # the catalog and graph polynomials
+        lattice_sum((1,), 1)  # empties the memo: the report below uses N = 40
+        monkeypatch.setattr(lattice_oracle, "_truncated_product",
+                            counted("products", lattice_oracle._truncated_product))
+        monkeypatch.setattr(lattice_oracle, "lattice_sum",
+                            counted("calls", lattice_oracle.lattice_sum))
+        start = time.perf_counter()
+        volume_convergence_report(3, 0, 20)
+        assert time.perf_counter() - start < 1.0
+        assert len(lattice_oracle._arrays) == 17
+        assert counts["products"] <= 156
+        assert counts["calls"] == 147
 
 
 class TestParityConstraints:
