@@ -168,14 +168,7 @@ def cmd_expect(args) -> int:
     if val is sympy.oo:
         _emit(args, ["E = +inf"], {"value": "inf"})
         return 0
-    if isinstance(val, Fraction):
-        _emit(
-            args,
-            [f"E = {val} = {_fmt_float(float(val), args.digits)}"],
-            {"value": str(val), "float": float(val)},
-        )
-        return 0
-    fval = float(val.evalf(20))
+    fval = float(val) if isinstance(val, Fraction) else float(val.evalf(20))
     _emit(
         args,
         [f"E = {val} = {_fmt_float(fval, args.digits)}"],
@@ -447,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_gn(args) -> Optional[str]:
+def _validate_args(args) -> Optional[str]:
+    if args.digits < 1:
+        return "--digits must be at least 1"
     g = getattr(args, "g", None)
     n = getattr(args, "n", None)
     if g is None:
@@ -460,7 +455,7 @@ def _validate_gn(args) -> Optional[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    err = _validate_gn(args)
+    err = _validate_args(args)
     if err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -25,11 +25,13 @@ from .stable_graphs import StableGraph, aut_order
 from .volume_engine import masur_veech_volume, raw_graph_polynomial
 
 
-# The lattice work of one N: the cost array of each (exponent, parity) pair
-# and the combined sum of each sorted key of such pairs.  Cleared when N changes.
+# The lattice work of one N: the cost array of each (exponent, parity) pair,
+# packed per slot width, and the combined sum of each sorted key of such
+# pairs.  Cleared when N changes.
 _memo_N = 0
 _arrays: Dict[Tuple[int, int], List[int]] = {}
 _sums: Dict[Tuple[Tuple[int, int], ...], int] = {}
+_packs: Dict[Tuple[Tuple[int, int], int], int] = {}
 
 
 def _cost_array(m: int, parity: int, N: int) -> List[int]:
@@ -44,14 +46,18 @@ def _cost_array(m: int, parity: int, N: int) -> List[int]:
     return _arrays[m, parity]
 
 
-def _truncated_product(a: List[int], b: List[int], N: int) -> List[int]:
-    """Coefficients 0..N of a * b by one Kronecker-packed big-integer product.
-    No coefficient exceeds sum(a) * sum(b), so none spills out of its slot."""
-    size = (sum(a) * sum(b)).bit_length() // 8 + 1
-    A, B = (int.from_bytes(b"".join(x.to_bytes(size, "little") for x in v), "little")
-            for v in (a, b))
-    coeffs = (A * B).to_bytes(size * (2 * N + 1), "little")
-    return [int.from_bytes(coeffs[c * size : (c + 1) * size], "little") for c in range(N + 1)]
+def _packed(pair: Tuple[int, int], size: int, N: int) -> int:
+    """The cost array of ``pair``, Kronecker-packed into slots of ``size`` bytes."""
+    if (pair, size) not in _packs:
+        _packs[pair, size] = int.from_bytes(
+            b"".join(x.to_bytes(size, "little") for x in _cost_array(*pair, N)), "little")
+    return _packs[pair, size]
+
+
+def _truncated_product(a: int, b: int, N: int, size: int) -> int:
+    """Coefficients 0..N of a * b, both packed into slots of ``size`` bytes
+    that none of those coefficients overflows."""
+    return a * b & (1 << 8 * size * (N + 1)) - 1
 
 
 def lattice_sum(
@@ -73,8 +79,8 @@ def lattice_sum(
         raise ValueError(f"parity indices must lie in 0..{k - 1}")
     if N != _memo_N:
         _memo_N = N
-        _arrays.clear()
-        _sums.clear()
+        for memo in (_arrays, _sums, _packs):
+            memo.clear()
     constrained = frozenset().union(*constraints)
     # each admissible parity pattern, as a sorted key of (exponent, parity)
     keys = Counter(
@@ -83,8 +89,11 @@ def lattice_sum(
         if not any(sum(ps[i] for i in c) % 2 for c in constraints)
     )
     # sorted walk over the new keys; stack[j] is the product of the arrays of
-    # head[:j + 1], so a head shared by neighbouring keys is convolved once
-    stack: List[List[int]] = []
+    # head[:j + 1], packed, with its slot width and a bound on its coefficients,
+    # so a head shared by neighbouring keys is convolved once.  A coefficient
+    # 0..N of a * W is at most max(a) * sum(W), and only those slots must not
+    # overflow: a carry moves up.
+    stack: List[Tuple[int, int, int]] = []
     head: Tuple[Tuple[int, int], ...] = ()
     for key in sorted(keys.keys() - _sums.keys()):
         shared = 0
@@ -93,11 +102,25 @@ def lattice_sum(
         del stack[shared:]
         head = key[:-1]
         for pair in head[shared:]:
-            W = _cost_array(*pair, N)
-            stack.append(_truncated_product(stack[-1], W, N) if stack else W)
+            conv, size, bound = stack[-1] if stack else (1, 1, 0)
+            array = _cost_array(*pair, N)
+            bound = bound * sum(array) if stack else max(1, *array)
+            width = bound.bit_length() // 8 + 1  # bytes per slot
+            packed = _packed(pair, width, N)
+            if stack:
+                if size < width:  # move the slots apart, one strided copy per byte
+                    raw, wide = conv.to_bytes(size * (N + 1), "little"), bytearray(width * (N + 1))
+                    for b in range(size):
+                        wide[b::width] = raw[b::size]
+                    conv = int.from_bytes(wide, "little")
+                packed = _truncated_product(conv, packed, N, width)
+            stack.append((packed, width, bound))
+        # the combined sum, sum_c conv[c] * prefix[N - c], with conv unpacked
         prefix = list(accumulate(_cost_array(*key[-1], N)))
-        conv = stack[-1] if stack else [1]
-        _sums[key] = sum(x * prefix[N - c] for c, x in enumerate(conv))
+        conv, size, _ = stack[-1] if stack else (1, 1, 1)
+        raw = conv.to_bytes(size * (N + 1), "little")
+        _sums[key] = sum(int.from_bytes(raw[c * size : (c + 1) * size], "little") * prefix[N - c]
+                         for c in range(N + 1))
     return sum(mult * _sums[key] for key, mult in keys.items())
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact_arith import PiRational, factorial
-from .stable_graphs import StableGraph, bridges, enumerate_graphs
+from .stable_graphs import StableGraph, bridges, unlabeled_graphs
 from .volume_engine import Poly, linear_edge_Z, masur_veech_volume
 
 
@@ -31,16 +31,17 @@ def partial_gamma(graph: StableGraph, poly: Poly) -> Poly:
 def c_area_graphsum(g: int, n: int) -> Fraction:
     """(pi^2/3) * c_area computed from the stable-graph catalog: the sum over
     graphs of op_Z(partial_gamma(graph, graph_polynomial(graph))), divided by
-    the volume."""
+    the volume.  A graph's term reads only how many legs sit at each vertex,
+    so the sum runs over the catalog with unlabeled legs, times n!."""
     volume = masur_veech_volume(g, n).total
     total = PiRational.zero()
-    for entry in enumerate_graphs(g, n):
+    for entry in unlabeled_graphs(g, n):
         graph = entry.graph
         # twice partial_gamma's weights, so that they are integers
         cut = bridges(graph)
         weights = [1 if e in cut else 2 for e in range(graph.num_edges)]
         total = total + linear_edge_Z(graph, weights, entry.aut_order)
-    return (total / volume).rational(0) / 2
+    return (total * factorial(n) / volume).rational(0) / 2
 
 
 def _vol_q(g: int, n: int) -> PiRational:

@@ -1,22 +1,26 @@
 """Stable graphs: enumeration up to isomorphism, automorphism orders, edge surgery.
 
 A stable graph for (g, n) is a connected multigraph (loops and parallel
-edges allowed) with a nonnegative genus at each vertex and n labeled legs,
-such that h^1 + sum of vertex genera equals g and every vertex satisfies
+edges allowed) with a nonnegative genus at each vertex and n legs, such that
+h^1 + sum of vertex genera equals g and every vertex satisfies
 2 g_v - 2 + n_v > 0, where n_v counts incident half-edges (loops twice).
+The catalog is enumerated once with unlabeled legs, a leg count per vertex
+(``unlabeled_graphs``); ``enumerate_graphs`` expands it into labeled legs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
+from itertools import combinations, groupby, permutations, product
+from math import factorial, prod
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Tuple
 
 __all__ = [
     "StableGraph",
     "CatalogEntry",
     "enumerate_graphs",
+    "unlabeled_graphs",
     "aut_order",
     "bridges",
     "is_bridge",
@@ -62,18 +66,7 @@ class StableGraph(NamedTuple):
         return tuple(val)
 
     def is_connected(self) -> bool:
-        V = self.num_vertices
-        parent = list(range(V))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in self.edges:
-            parent[find(i)] = find(j)
-        return len({find(v) for v in range(V)}) == 1
+        return len(_component(self, 0, -1)) == self.num_vertices
 
     def to_json(self) -> dict:
         return {
@@ -121,19 +114,19 @@ class CatalogEntry(NamedTuple):
     canonical_key: bytes
 
 
-def _colors(graph: StableGraph) -> List[Tuple]:
-    """(genus, leg labels) per vertex."""
+def _colors(graph: StableGraph, labeled: bool) -> List[Tuple]:
+    """(genus, leg labels) per vertex; unlabeled legs all carry the label 1."""
     labels: List[List[int]] = [[] for _ in graph.genera]
     for l, v in enumerate(graph.legs):
-        labels[v].append(l + 1)
+        labels[v].append(l + 1 if labeled else 1)
     return [(gv, tuple(ls)) for gv, ls in zip(graph.genera, labels)]
 
 
-def _refined_colors(graph: StableGraph) -> List[Tuple]:
+def _refined_colors(graph: StableGraph, labeled: bool) -> List[Tuple]:
     """Iterated color refinement: start from (genus, legs) and fold in the
     multiset of neighbor colors until stable."""
     V = graph.num_vertices
-    colors = _colors(graph)
+    colors = _colors(graph, labeled)
     for _ in range(V):
         neigh: List[List] = [[] for _ in range(V)]
         for i, j in graph.edges:
@@ -148,18 +141,14 @@ def _refined_colors(graph: StableGraph) -> List[Tuple]:
     return colors
 
 
-def _canonicalize(graph: StableGraph) -> Tuple[bytes, int, StableGraph]:
-    """Canonical key, automorphism order, canonically relabeled graph."""
+def _canonicalize(graph: StableGraph, labeled: bool = False) -> Tuple[bytes, int, StableGraph]:
+    """Canonical key, automorphism order, canonically relabeled graph.  Unless
+    ``labeled``, legs are unlabeled: the canonical legs are sorted and the
+    automorphisms also permute the legs at each vertex."""
     V = graph.num_vertices
-    colors = _refined_colors(graph)
+    colors = _refined_colors(graph, labeled)
     order = sorted(range(V), key=lambda v: repr(colors[v]))
-    # group consecutive equal colors
-    blocks: List[List[int]] = []
-    for v in order:
-        if blocks and colors[blocks[-1][-1]] == colors[v]:
-            blocks[-1].append(v)
-        else:
-            blocks.append([v])
+    blocks = [list(b) for _, b in groupby(order, key=lambda v: colors[v])]
 
     # adjacency matrix with multiplicities (diagonal = loop count)
     adj = [[0] * V for _ in range(V)]
@@ -234,13 +223,12 @@ def _canonicalize(graph: StableGraph) -> Tuple[bytes, int, StableGraph]:
     edges = tuple(edge_list)
     genera = tuple(graph.genera[v] for v in perm)
     legs = tuple(pos[v] for v in graph.legs)
+    legs = legs if labeled else tuple(sorted(legs))
     canon = StableGraph(genera, edges, legs)
     key = repr((genera, edges, legs)).encode()
 
-    mult: Dict[Edge, int] = {}
-    for e in edges:
-        mult[e] = mult.get(e, 0) + 1
-    aut = stab
+    mult = Counter(edges)
+    aut = stab if labeled else stab * prod(factorial(legs.count(v)) for v in set(legs))
     for (i, j), m in mult.items():
         aut *= factorial(m)
         if i == j:
@@ -250,19 +238,20 @@ def _canonicalize(graph: StableGraph) -> Tuple[bytes, int, StableGraph]:
 
 def aut_order(graph: StableGraph) -> int:
     """Order of the decoration- and leg-label-preserving automorphism group."""
-    return _canonicalize(graph)[1]
+    return _canonicalize(graph, labeled=True)[1]
 
 
 def canonical_key(graph: StableGraph) -> bytes:
-    return _canonicalize(graph)[0]
+    return _canonicalize(graph, labeled=True)[0]
 
 
 def _degenerations(graph: StableGraph) -> Iterator[Tuple[StableGraph, Edge]]:
-    """The graphs with one more edge that contract to ``graph``, each with its
-    new edge: a loop at a vertex of positive genus, or a vertex split in two
-    stable sides joined by the new edge, the second side becoming the last
-    vertex.  Splits that keep a loop are skipped: a loop outranks the new
-    edge in ``_is_largest_edge``, so those children would be dropped."""
+    """The graphs with one more edge that contract to ``graph`` (legs
+    unlabeled), each with its new edge: a loop at a vertex of positive genus,
+    or a vertex split in two stable sides joined by the new edge, the second
+    side becoming the last vertex.  Splits that keep a loop are skipped: a
+    loop outranks the new edge in ``_is_largest_edge``, so those children
+    would be dropped."""
     genera, edges, legs = graph
     V = len(genera)
     loops = [i for i, j in edges if i == j]
@@ -272,38 +261,33 @@ def _degenerations(graph: StableGraph) -> Iterator[Tuple[StableGraph, Edge]]:
             yield StableGraph(child, tuple(sorted(edges + ((v, v),))), legs), (v, v)
         if any(u != v for u in loops):
             continue
-        # every loop at v joins the two sides; each other half-edge at v (an
-        # edge end or a leg) goes to either side, except that the first one
-        # stays, so the two sides are never swapped
+        # every loop at v joins the two sides; each edge end at v goes to
+        # either side, and any number of its legs moves; the first edge end
+        # (or leg, if there is none) stays, so the two sides are never swapped
         base = [(v, V) if e == (v, v) else e for e in edges]
         lv = loops.count(v)
-        free = [
+        ends = [
             (k, end) for k, e in enumerate(edges) if e[0] != e[1]
             for end in (0, 1) if e[end] == v
         ]
-        free += [(None, l) for l, w in enumerate(legs) if w == v]
-        h = 2 * lv + len(free)
-        free = free[1:]
-        for size in range(len(free) + 1):
-            moved = lv + size  # half-edges on the new side
+        rest = [w for w in legs if w != v]
+        c = len(legs) - len(rest)
+        h = 2 * lv + len(ends) + c
+        kept, ends = 0 if ends else min(c, 1), ends[1:]
+        for size, s in product(range(len(ends) + 1), range(c - kept + 1)):
+            moved = lv + size + s  # half-edges on the new side
             # genus g1 stays and gv - g1 moves; each side also gets the new edge
             splits = [
                 g1 for g1 in range(gv + 1)
                 if 2 * g1 + h - moved >= 2 and 2 * (gv - g1) + moved >= 2
             ]
-            if not splits:
-                continue
-            for subset in combinations(free, size):
+            split_legs = tuple(sorted(rest + [v] * (c - s))) + (V,) * s
+            for subset in combinations(ends, size) if splits else ():
                 new_edges = base + [(v, V)]
-                new_legs = list(legs)
                 for k, end in subset:
-                    if k is None:
-                        new_legs[end] = V
-                    else:
-                        # V is the largest index, so the pair stays sorted
-                        new_edges[k] = (edges[k][1 - end], V)
+                    # V is the largest index, so the pair stays sorted
+                    new_edges[k] = (edges[k][1 - end], V)
                 split_edges = tuple(sorted(new_edges))
-                split_legs = tuple(new_legs)
                 for g1 in splits:
                     child = genera[:v] + (g1,) + genera[v + 1 :] + (gv - g1,)
                     yield StableGraph(child, split_edges, split_legs), (v, V)
@@ -311,9 +295,9 @@ def _degenerations(graph: StableGraph) -> Iterator[Tuple[StableGraph, Edge]]:
 
 def _is_largest_edge(graph: StableGraph, edge: Edge) -> bool:
     """True iff no edge of ``graph`` has a larger color than ``edge``.  A vertex
-    is colored by (genus, leg labels, valence), an edge by (is loop, sorted end
+    is colored by (genus, leg count, valence), an edge by (is loop, sorted end
     colors); both colors are isomorphism invariants."""
-    colors = [c + (nv,) for c, nv in zip(_colors(graph), graph.valences())]
+    colors = [c + (nv,) for c, nv in zip(_colors(graph, labeled=False), graph.valences())]
 
     def color(e: Edge) -> Tuple:
         i, j = e
@@ -324,11 +308,15 @@ def _is_largest_edge(graph: StableGraph, edge: Edge) -> bool:
 
 
 @lru_cache(maxsize=None)
-def enumerate_graphs(g: int, n: int) -> Tuple[CatalogEntry, ...]:
-    """One representative per isomorphism class of stable graphs for (g, n),
-    including the edge-less graph, ordered by edge count and canonical key.
+def unlabeled_graphs(g: int, n: int) -> Tuple[CatalogEntry, ...]:
+    """Like ``enumerate_graphs``, but with unlabeled legs: ``legs`` is sorted
+    and |Aut| also permutes the legs at each vertex, so n! times the sum of
+    1/|Aut| is the labeled sum.  At n <= 1 it is ``enumerate_graphs(g, n)``."""
+    return enumerate_graphs(g, n) if n <= 1 else _degeneration_walk(g, n)
 
-    Level k holds the graphs with k edges.  Contracting a largest-colored
+
+def _degeneration_walk(g: int, n: int) -> Tuple[CatalogEntry, ...]:
+    """Level k holds the graphs with k edges.  Contracting a largest-colored
     edge of such a graph gives a graph of level k - 1, so every class of
     level k is a degeneration of a level k - 1 representative whose new edge
     is largest-colored; only those children are canonicalized."""
@@ -348,6 +336,23 @@ def enumerate_graphs(g: int, n: int) -> Tuple[CatalogEntry, ...]:
                         seen[key] = CatalogEntry(canon, aut, key)
         level = sorted(seen.values(), key=lambda e: e.canonical_key)
     return tuple(catalog)
+
+
+@lru_cache(maxsize=None)
+def enumerate_graphs(g: int, n: int) -> Tuple[CatalogEntry, ...]:
+    """One representative per isomorphism class of stable graphs for (g, n),
+    including the edge-less graph, ordered by edge count and canonical key.
+    Past n = 1 each graph of ``unlabeled_graphs(g, n)`` is expanded into its
+    leg labelings, which are canonicalized with labels and deduplicated."""
+    if n <= 1:
+        return _degeneration_walk(g, n)
+    seen: Dict[bytes, CatalogEntry] = {}
+    for entry in unlabeled_graphs(g, n):
+        genera, edges, legs = entry.graph
+        for labeling in set(permutations(legs)):
+            key, aut, canon = _canonicalize(StableGraph(genera, edges, labeling), labeled=True)
+            seen.setdefault(key, CatalogEntry(canon, aut, key))
+    return tuple(sorted(seen.values(), key=lambda e: (e.graph.num_edges, e.canonical_key)))
 
 
 def bridges(graph: StableGraph) -> FrozenSet[int]:

@@ -170,6 +170,11 @@ class TestBoundary:
         for N in ("0", "-3"):
             self.assert_rejected(capsys, "oracle", "lattice", "--m", "1", "--N", N)
 
+    def test_digits_below_one_is_rejected(self, capsys):
+        for digits in ("0", "-3"):
+            err = self.assert_rejected(capsys, "--digits", digits, "poisson", "3")
+            assert "--digits" in err
+
     def test_oracle_lattice_rejects_bad_exponents_and_parity(self, capsys):
         for args in (
             ("--m=-1",),

@@ -158,6 +158,14 @@ _cases = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+class TestZeroPartialProduct:
+    def test_zero_head_does_not_overflow_a_slot(self):
+        # at N = 2 the product of two even-b arrays is zero up to N, and a
+        # slot width taken from the sums of the two factors then overflowed
+        m, parity = (6, 3, 7, 9, 8, 0), ((2,), (4, 2))
+        assert lattice_sum(m, 2, parity) == reference_lattice_sum(m, 2, parity)
+
+
 class TestSharedLatticeWork:
     @settings(max_examples=40, deadline=None)
     @given(cases=st.lists(_cases, min_size=1, max_size=6))

@@ -140,6 +140,23 @@ def _reference_Z(poly):
     return PiRational(total, power)
 
 
+def _labeled_graphsum(g, n):
+    """c_area_graphsum as the loop over the labeled catalog, each graph
+    weighted by its labeled |Aut|."""
+    total = PiRational.zero()
+    for entry in enumerate_graphs(g, n):
+        graph = entry.graph
+        weights = [1 if is_bridge(graph, e) else 2 for e in range(graph.num_edges)]
+        total = total + linear_edge_Z(graph, weights, entry.aut_order)
+    return (total / masur_veech_volume(g, n).total).rational(0) / 2
+
+
+class TestUnlabeledGraphSum:
+    @pytest.mark.parametrize("g,n", GOLDEN_GN + [(2, 4)])
+    def test_equals_labeled_loop(self, g, n):
+        assert c_area_graphsum(g, n) == _labeled_graphsum(g, n)
+
+
 class TestIntegerPass:
     @pytest.mark.parametrize("g,n", GOLDEN_GN)
     def test_term_equals_rational_route(self, g, n):

@@ -1,8 +1,10 @@
 """Tests for stable-graph enumeration, canonical forms, and automorphisms."""
+import hashlib
 import json
 import random
 import re
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from mvq.stable_graphs import (
     cut_edge,
     enumerate_graphs,
     is_bridge,
+    unlabeled_graphs,
 )
 
 
@@ -89,6 +92,60 @@ class TestCatalogCounts:
             )
             assert sum(graph.genera) + _genus_from_cycles(graph) == 2
             assert len(graph.legs) == 1
+
+
+# SHA-256 of repr of the (graph, aut_order, canonical_key) sequence of
+# enumerate_graphs, recorded when the labeled catalog was built by its own
+# degeneration walk, before it was expanded from the unlabeled catalog
+CATALOG_DIGESTS = {
+    (3, 2): "91c22f576d7b98bc664e3a80fb0296daed35d398eac5d142a7a157e92ce6bfb4",
+    (2, 4): "c9c129b62d9a1664def56693522b157d147f80cc127ac56ffb3f5c92632b7e55",
+    (0, 7): "689db727088ed2c9345d48069637a0c63348b66dc5fef4bfc5513be2fa424e0d",
+    (1, 4): "10818a46c46d15fb22c577b36efdcb5a40afe372e0ae948bf1307505dc602e5f",
+}
+
+# (g, n) -> number of classes of stable graphs with unlabeled legs
+UNLABELED_COUNTS = {(3, 2): 918, (2, 4): 683, (0, 7): 13, (0, 8): 32, (1, 5): 76}
+
+
+class TestUnlabeledCatalog:
+    @pytest.mark.parametrize("g,n", sorted(CATALOG_DIGESTS))
+    def test_expanded_catalog_is_unchanged(self, g, n):
+        seq = [(e.graph, e.aut_order, e.canonical_key) for e in enumerate_graphs(g, n)]
+        assert hashlib.sha256(repr(seq).encode()).hexdigest() == CATALOG_DIGESTS[g, n]
+
+    def test_class_counts(self):
+        for (g, n), count in UNLABELED_COUNTS.items():
+            assert len(unlabeled_graphs(g, n)) == count, (g, n)
+
+    def test_mass_is_labeled_mass_over_n_factorial(self):
+        # orbit-stabilizer: the n! leg labelings of an unlabeled graph fall
+        # into labeled classes with stabilizers their labeled |Aut|
+        for g, n in PINNED_CATALOGS:
+            labeled = sum(Fraction(1, e.aut_order) for e in enumerate_graphs(g, n))
+            unlabeled = sum(Fraction(1, e.aut_order) for e in unlabeled_graphs(g, n))
+            assert labeled == factorial(n) * unlabeled, (g, n)
+
+    def test_labels_change_nothing_at_most_one_leg(self):
+        # so at n <= 1 the unlabeled walk gives the labeled catalog as it is
+        for g, n in ((2, 0), (3, 0), (2, 1), (3, 1), (4, 1)):
+            for entry in enumerate_graphs(g, n):
+                unlabeled = stable_graphs._canonicalize(entry.graph)
+                assert unlabeled == stable_graphs._canonicalize(entry.graph, labeled=True)
+
+    def test_few_candidates_per_unlabeled_graph(self, monkeypatch):
+        calls = [0]
+        canonicalize = stable_graphs._canonicalize
+
+        def counted(graph, *args):
+            calls[0] += 1
+            return canonicalize(graph, *args)
+
+        monkeypatch.setattr(stable_graphs, "_canonicalize", counted)
+        for g, n in ((2, 4), (0, 8)):
+            calls[0] = 0
+            catalog = unlabeled_graphs.__wrapped__(g, n)
+            assert calls[0] <= 2 * len(catalog), (g, n, calls[0])
 
 
 def _n_components(graph):
