@@ -9,8 +9,9 @@ graph's volume contribution.
 Lattice work is shared for one N.  Once a parity pattern fixes the parity of
 every constrained b_i, the sum depends only on the multiset of (exponent,
 parity) pairs: cost arrays are kept per pair, combined sums per sorted key of
-pairs, and within one lattice_sum call a sorted walk over the keys convolves
-each head they share once.  All of it is exact integer arithmetic.
+pairs, and the product of the cost arrays of each head (a key without its
+last pair) in one memo, so that a head shared by several keys, in one call or
+across calls, is convolved once.  All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from .volume_engine import masur_veech_volume, raw_graph_polynomial
 
 
 # The lattice work of one N: the cost array of each (exponent, parity) pair,
-# packed per slot width, and the combined sum of each sorted key of such
-# pairs.  Cleared when N changes.
+# the packed product of the arrays of each head, and the combined sum of each
+# sorted key of such pairs.  Cleared when N changes.
 _memo_N = 0
 _arrays: Dict[Tuple[int, int], List[int]] = {}
+_heads: Dict[Tuple[Tuple[int, int], ...], Tuple[int, int, int]] = {}
 _sums: Dict[Tuple[Tuple[int, int], ...], int] = {}
-_packs: Dict[Tuple[Tuple[int, int], int], int] = {}
 
 
 def _cost_array(m: int, parity: int, N: int) -> List[int]:
@@ -46,18 +47,35 @@ def _cost_array(m: int, parity: int, N: int) -> List[int]:
     return _arrays[m, parity]
 
 
-def _packed(pair: Tuple[int, int], size: int, N: int) -> int:
-    """The cost array of ``pair``, Kronecker-packed into slots of ``size`` bytes."""
-    if (pair, size) not in _packs:
-        _packs[pair, size] = int.from_bytes(
-            b"".join(x.to_bytes(size, "little") for x in _cost_array(*pair, N)), "little")
-    return _packs[pair, size]
-
-
 def _truncated_product(a: int, b: int, N: int, size: int) -> int:
     """Coefficients 0..N of a * b, both packed into slots of ``size`` bytes
     that none of those coefficients overflows."""
     return a * b & (1 << 8 * size * (N + 1)) - 1
+
+
+def _head(head: Tuple[Tuple[int, int], ...], N: int) -> Tuple[int, int, int]:
+    """The product of the cost arrays of ``head``, Kronecker-packed, with its
+    slot width in bytes and a bound on its coefficients 0..N: head[:-1] times
+    one more array.  A coefficient 0..N of a * W is at most max(a) * sum(W),
+    and only those slots must not overflow: a carry moves up."""
+    if head not in _heads:
+        array = _cost_array(*head[-1], N)
+        if len(head) > 1:
+            conv, size, bound = _head(head[:-1], N)
+            bound *= sum(array)
+        else:
+            bound = max(1, *array)
+        width = bound.bit_length() // 8 + 1
+        packed = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in array), "little")
+        if len(head) > 1:
+            if size < width:  # move the slots apart, one strided copy per byte
+                raw, wide = conv.to_bytes(size * (N + 1), "little"), bytearray(width * (N + 1))
+                for b in range(size):
+                    wide[b::width] = raw[b::size]
+                conv = int.from_bytes(wide, "little")
+            packed = _truncated_product(conv, packed, N, width)
+        _heads[head] = packed, width, bound
+    return _heads[head]
 
 
 def lattice_sum(
@@ -79,7 +97,7 @@ def lattice_sum(
         raise ValueError(f"parity indices must lie in 0..{k - 1}")
     if N != _memo_N:
         _memo_N = N
-        for memo in (_arrays, _sums, _packs):
+        for memo in (_arrays, _heads, _sums):
             memo.clear()
     constrained = frozenset().union(*constraints)
     # each admissible parity pattern, as a sorted key of (exponent, parity)
@@ -88,36 +106,10 @@ def lattice_sum(
         for ps in product(*[(0, 1) if i in constrained else (-1,) for i in range(k)])
         if not any(sum(ps[i] for i in c) % 2 for c in constraints)
     )
-    # sorted walk over the new keys; stack[j] is the product of the arrays of
-    # head[:j + 1], packed, with its slot width and a bound on its coefficients,
-    # so a head shared by neighbouring keys is convolved once.  A coefficient
-    # 0..N of a * W is at most max(a) * sum(W), and only those slots must not
-    # overflow: a carry moves up.
-    stack: List[Tuple[int, int, int]] = []
-    head: Tuple[Tuple[int, int], ...] = ()
-    for key in sorted(keys.keys() - _sums.keys()):
-        shared = 0
-        while shared < len(head) and key[shared] == head[shared]:
-            shared += 1
-        del stack[shared:]
-        head = key[:-1]
-        for pair in head[shared:]:
-            conv, size, bound = stack[-1] if stack else (1, 1, 0)
-            array = _cost_array(*pair, N)
-            bound = bound * sum(array) if stack else max(1, *array)
-            width = bound.bit_length() // 8 + 1  # bytes per slot
-            packed = _packed(pair, width, N)
-            if stack:
-                if size < width:  # move the slots apart, one strided copy per byte
-                    raw, wide = conv.to_bytes(size * (N + 1), "little"), bytearray(width * (N + 1))
-                    for b in range(size):
-                        wide[b::width] = raw[b::size]
-                    conv = int.from_bytes(wide, "little")
-                packed = _truncated_product(conv, packed, N, width)
-            stack.append((packed, width, bound))
+    for key in keys.keys() - _sums.keys():
         # the combined sum, sum_c conv[c] * prefix[N - c], with conv unpacked
         prefix = list(accumulate(_cost_array(*key[-1], N)))
-        conv, size, _ = stack[-1] if stack else (1, 1, 1)
+        conv, size, _ = _head(key[:-1], N) if len(key) > 1 else (1, 1, 1)
         raw = conv.to_bytes(size * (N + 1), "little")
         _sums[key] = sum(int.from_bytes(raw[c * size : (c + 1) * size], "little") * prefix[N - c]
                          for c in range(N + 1))

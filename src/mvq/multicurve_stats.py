@@ -160,9 +160,12 @@ def expectation_ratio(
 
     With numeric H the result is an exact Fraction; with sympy-symbol entries
     in H it is a symbolic expression; without H it is a symbolic expression in
-    even/odd zeta values, or sympy.oo in the divergent case."""
+    even/odd zeta values, or sympy.oo in the divergent case.  Raises
+    ValueError on a graph with no edge, where the ratio is 0/0."""
     import sympy
 
+    if not graph.edges:
+        raise ValueError("indeterminate: a graph with no edge has no square-tiled surface (0/0)")
     poly = graph_polynomial(graph)
     shifted = _shift_poly(poly, num, den)
     if H is not None:

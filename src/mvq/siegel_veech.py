@@ -11,33 +11,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact_arith import PiRational, factorial
-from .stable_graphs import StableGraph, bridges, unlabeled_graphs
-from .volume_engine import Poly, linear_edge_Z, masur_veech_volume
-
-
-def partial_gamma(graph: StableGraph, poly: Poly) -> Poly:
-    """Degree-one extraction: sum over edges of the terms linear in b_e,
-    weighted by 1/2 when the edge is a bridge and 1 otherwise."""
-    cut = bridges(graph)
-    chi = [Fraction(1, 2) if e in cut else Fraction(1) for e in range(graph.num_edges)]
-    out: Poly = {}
-    for expo, coeff in poly.items():
-        weight = sum(chi[e] for e, m in enumerate(expo) if m == 1)
-        if weight:
-            out[expo] = out.get(expo, Fraction(0)) + coeff * weight
-    return out
+from .stable_graphs import bridges, unlabeled_graphs
+from .volume_engine import linear_edge_Z, masur_veech_volume
 
 
 def c_area_graphsum(g: int, n: int) -> Fraction:
     """(pi^2/3) * c_area computed from the stable-graph catalog: the sum over
-    graphs of op_Z(partial_gamma(graph, graph_polynomial(graph))), divided by
-    the volume.  A graph's term reads only how many legs sit at each vertex,
-    so the sum runs over the catalog with unlabeled legs, times n!."""
+    graphs of op_Z of the terms of graph_polynomial(graph) linear in an edge,
+    weighted 1/2 for a bridge and 1 otherwise, divided by the volume.  A
+    graph's term reads only how many legs sit at each vertex, so the sum runs
+    over the catalog with unlabeled legs, times n!."""
     volume = masur_veech_volume(g, n).total
     total = PiRational.zero()
     for entry in unlabeled_graphs(g, n):
         graph = entry.graph
-        # twice partial_gamma's weights, so that they are integers
+        # twice the weights, so that they are integers
         cut = bridges(graph)
         weights = [1 if e in cut else 2 for e in range(graph.num_edges)]
         total = total + linear_edge_Z(graph, weights, entry.aut_order)

@@ -1,4 +1,4 @@
-"""Stable graphs: enumeration up to isomorphism, automorphism orders, edge surgery.
+"""Stable graphs: enumeration up to isomorphism, automorphism orders, bridges.
 
 A stable graph for (g, n) is a connected multigraph (loops and parallel
 edges allowed) with a nonnegative genus at each vertex and n legs, such that
@@ -14,7 +14,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 from math import factorial, prod
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Set, Tuple
 
 __all__ = [
     "StableGraph",
@@ -24,7 +24,6 @@ __all__ = [
     "aut_order",
     "bridges",
     "is_bridge",
-    "cut_edge",
 ]
 
 Edge = Tuple[int, int]
@@ -66,7 +65,7 @@ class StableGraph(NamedTuple):
         return tuple(val)
 
     def is_connected(self) -> bool:
-        return len(_component(self, 0, -1)) == self.num_vertices
+        return len(_component(self, 0)) == self.num_vertices
 
     def to_json(self) -> dict:
         return {
@@ -122,19 +121,19 @@ def _colors(graph: StableGraph, labeled: bool) -> List[Tuple]:
     return [(gv, tuple(ls)) for gv, ls in zip(graph.genera, labels)]
 
 
-def _refined_colors(graph: StableGraph, labeled: bool) -> List[Tuple]:
+def _refined_colors(graph: StableGraph, labeled: bool) -> List[str]:
     """Iterated color refinement: start from (genus, legs) and fold in the
-    multiset of neighbor colors until stable."""
+    multiset of neighbor colors until stable.  Each color is the repr of the
+    nested tuple (previous color, sorted neighbor colors), built as a string
+    from the previous round's strings."""
     V = graph.num_vertices
-    colors = _colors(graph, labeled)
+    colors = list(map(repr, _colors(graph, labeled)))
     for _ in range(V):
-        neigh: List[List] = [[] for _ in range(V)]
+        neigh: List[List[str]] = [[] for _ in range(V)]
         for i, j in graph.edges:
             neigh[i].append(colors[j])
             neigh[j].append(colors[i])
-        new = [
-            (colors[v], tuple(sorted(map(repr, neigh[v])))) for v in range(V)
-        ]
+        new = ["(%s, %r)" % (colors[v], tuple(sorted(neigh[v]))) for v in range(V)]
         if len(set(new)) == len(set(colors)):
             break
         colors = new
@@ -147,8 +146,8 @@ def _canonicalize(graph: StableGraph, labeled: bool = False) -> Tuple[bytes, int
     automorphisms also permute the legs at each vertex."""
     V = graph.num_vertices
     colors = _refined_colors(graph, labeled)
-    order = sorted(range(V), key=lambda v: repr(colors[v]))
-    blocks = [list(b) for _, b in groupby(order, key=lambda v: colors[v])]
+    order = sorted(range(V), key=colors.__getitem__)
+    blocks = [list(b) for _, b in groupby(order, key=colors.__getitem__)]
 
     # adjacency matrix with multiplicities (diagonal = loop count)
     adj = [[0] * V for _ in range(V)]
@@ -216,11 +215,7 @@ def _canonicalize(graph: StableGraph, labeled: bool = False) -> Tuple[bytes, int
     pos = [0] * V
     for new, old in enumerate(perm):
         pos[old] = new
-    edge_list: List[Edge] = []
-    for a in range(V):
-        for b in range(a, V):
-            edge_list.extend([(a, b)] * adj[perm[a]][perm[b]])
-    edges = tuple(edge_list)
+    edges = tuple(sorted(tuple(sorted((pos[i], pos[j]))) for i, j in graph.edges))
     genera = tuple(graph.genera[v] for v in perm)
     legs = tuple(pos[v] for v in graph.legs)
     legs = legs if labeled else tuple(sorted(legs))
@@ -386,41 +381,10 @@ def is_bridge(graph: StableGraph, e: int) -> bool:
     return e in bridges(graph)
 
 
-def _component(graph: StableGraph, start: int, skip_edge: int) -> List[int]:
+def _component(graph: StableGraph, start: int) -> Set[int]:
     seen = {start}
     while True:
-        more = {i + j - v for idx, (i, j) in enumerate(graph.edges) if idx != skip_edge
-                for v in {i, j} & seen} - seen
+        more = {i + j - v for i, j in graph.edges for v in {i, j} & seen} - seen
         if not more:
-            return sorted(seen)
+            return seen
         seen |= more
-
-
-def cut_edge(graph: StableGraph, e: int):
-    """Surgery along edge e: one smaller graph for a non-bridge, an ordered
-    pair of graphs for a bridge.  New legs get the next free labels."""
-    u, v = graph.edges[e]
-    rest = graph.edges[:e] + graph.edges[e + 1 :]
-    n = graph.num_legs
-    if not is_bridge(graph, e):
-        legs = graph.legs + (u, v)
-        return StableGraph(graph.genera, rest, legs)
-
-    comp_u = _component(graph, u, e)
-    comp_v = _component(graph, v, e)
-
-    def side(comp: List[int], endpoint: int):
-        index = {old: new for new, old in enumerate(comp)}
-        genera = tuple(graph.genera[w] for w in comp)
-        edges = tuple(
-            sorted(
-                tuple(sorted((index[i], index[j])))
-                for i, j in rest
-                if i in index
-            )
-        )
-        labels = [l for l in range(n) if graph.legs[l] in index]
-        legs = tuple(index[graph.legs[l]] for l in labels) + (index[endpoint],)
-        return StableGraph(genera, edges, legs)
-
-    return side(comp_u, u), side(comp_v, v)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .correlators import _submultisets, correlator
@@ -33,22 +33,23 @@ def _compositions(total: int, parts: int):
 
 
 @lru_cache(maxsize=None)
-def _kontsevich_terms(g: int, n: int) -> Tuple[int, Tuple[Tuple[Tuple[int, ...], int], ...]]:
-    """The terms of kontsevich_poly(g, n) as integer numerators over one
-    denominator: (den, ((exponents, numerator), ...))."""
-    d_total = 3 * g - 3 + n
-    denom_pow = Fraction(1, 2 ** (5 * g - 6 + 2 * n))
-    terms = []
-    for d in _compositions(d_total, n):
-        c = correlator(g, d)
-        if c == 0:
-            continue
-        coeff = Fraction(c) * denom_pow
-        for di in d:
-            coeff /= factorial(di)
-        terms.append((tuple(2 * di for di in d), coeff))
-    den = lcm(*(c.denominator for _, c in terms))
-    return den, tuple((expo, c.numerator * (den // c.denominator)) for expo, c in terms)
+def _vertex_factor(
+    g: int, legs: int, ends: int
+) -> Tuple[int, Tuple[Tuple[Tuple[int, ...], int], ...]]:
+    """N_{g, legs+ends} with every leg variable set to zero, as integer
+    numerators over one reduced denominator: (den, ((exponents of the ends,
+    numerator), ...)).  The term of d is <tau_d>_g prod b_i^(2 d_i) divided by
+    2^(5g-6+2n) prod d_i!, that is D!/prod d_i! (an integer) over D! 2^(5g-6+2n)."""
+    n = legs + ends
+    D = 3 * g - 3 + n
+    corr = {d: correlator(g, (0,) * legs + d) for d in _compositions(D, ends)}
+    corr = {d: c for d, c in corr.items() if c}
+    cden = lcm(*(c.denominator for c in corr.values()))
+    den = cden * 2 ** (5 * g - 6 + 2 * n) * factorial(D)
+    nums = {d: c.numerator * (cden // c.denominator) * factorial(D) // prod(map(factorial, d))
+            for d, c in corr.items()}
+    common = gcd(den, *nums.values())
+    return den // common, tuple((tuple(2 * x for x in d), num // common) for d, num in nums.items())
 
 
 def kontsevich_poly(g: int, n: int) -> Poly:
@@ -56,7 +57,7 @@ def kontsevich_poly(g: int, n: int) -> Poly:
     symmetric polynomial of degree 6g-6+2n in the n boundary lengths."""
     if n < 1 or 2 * g - 2 + n <= 0:
         raise ValueError("unstable (g, n)")
-    den, terms = _kontsevich_terms(g, n)
+    den, terms = _vertex_factor(g, 0, n)
     return {expo: Fraction(num, den) for expo, num in terms}
 
 
@@ -66,20 +67,17 @@ def _graph_numerators(graph: StableGraph) -> Tuple[int, Dict[Tuple[int, ...], in
     packed into one integer, `width` bits per edge, so that multiplying two
     monomials adds their keys."""
     E = graph.num_edges
-    # incident edge indices per vertex (loops listed twice), and legs per vertex
-    incident = [[idx for idx, ends in enumerate(graph.edges) for w in ends if w == v]
-                for v in range(graph.num_vertices)]
-    legs_at = [graph.legs.count(v) for v in range(graph.num_vertices)]
     # no exponent exceeds 1 + the degree of prod_v N_{g_v, n_v}
     width = (6 * graph.genus - 5 + 2 * graph.num_legs - 2 * E).bit_length()
     den = 1
     poly = {sum(1 << (width * e) for e in range(E)): 1}  # the product over edges of b_e
-    for v, legs in enumerate(legs_at):
-        vden, terms = _kontsevich_terms(graph.genera[v], legs + len(incident[v]))
+    for v, gv in enumerate(graph.genera):
+        # incident edge indices, loops listed twice
+        incident = [idx for idx, ends in enumerate(graph.edges) for w in ends if w == v]
+        vden, terms = _vertex_factor(gv, graph.legs.count(v), len(incident))
         factor: Dict[int, int] = defaultdict(int)
         for expo, num in terms:
-            if not any(expo[:legs]):
-                factor[sum(e << (width * i) for i, e in zip(incident[v], expo[legs:]))] += num
+            factor[sum(e << (width * i) for i, e in zip(incident, expo))] += num
         product: Dict[int, int] = defaultdict(int)
         for k1, c1 in poly.items():
             for k2, c2 in factor.items():
@@ -124,23 +122,6 @@ def _zeta_factor(m: int) -> Fraction:
     return zeta_even(m + 1).coeff * factorial(m)
 
 
-def op_Z(poly: Poly) -> PiRational:
-    """Replace each monomial prod b_e^{m_e} by prod m_e! zeta(m_e + 1).
-
-    Every exponent must be odd so that only even zeta values appear, and
-    every monomial must have the same sum(m_e + 1), the power of pi that
-    factors out of the whole sum."""
-    return _z_sum(poly)
-
-
-def linear_edge_Z(graph: StableGraph, weights: Sequence[int], aut: int) -> PiRational:
-    """op_Z of graph_polynomial(graph, aut) with each monomial weighted by the
-    sum of weights[e] over the edges e in which it is linear, in one integer
-    pass: no polynomial of rationals is built."""
-    den, poly = _graph_numerators(graph)
-    return _z_sum(poly, weights) * (_prefactor(graph, aut) / den)
-
-
 @lru_cache(maxsize=None)
 def _zeta_numerators(top: int) -> Tuple[int, Tuple[int, ...]]:
     """_zeta_factor(m) for odd m <= top as integers over one lcm (0 at even m)."""
@@ -148,10 +129,16 @@ def _zeta_numerators(top: int) -> Tuple[int, Tuple[int, ...]]:
     return den, tuple(int(_zeta_factor(m) * den) if m % 2 else 0 for m in range(top + 1))
 
 
-def _z_sum(poly: Dict[Tuple[int, ...], int | Fraction], weights=None) -> PiRational:
-    """op_Z of a polynomial with integer or rational coefficients, with each
-    monomial weighted by the sum of weights[e] over the edges e in which it is
-    linear if weights are given.  The zeta factors are integers over one lcm."""
+def op_Z(
+    poly: Dict[Tuple[int, ...], int | Fraction], weights: Sequence[int] | None = None
+) -> PiRational:
+    """Replace each monomial prod b_e^{m_e} by prod m_e! zeta(m_e + 1); if
+    weights are given, also weight it by the sum of weights[e] over the edges e
+    in which it is linear.  Coefficients may be integers or rationals.
+
+    Every exponent must be odd so that only even zeta values appear, and
+    every monomial must have the same sum(m_e + 1), the power of pi that
+    factors out of the whole sum.  The zeta factors are integers over one lcm."""
     zden, znum = _zeta_numerators(max((max(expo, default=0) for expo in poly), default=0))
     total = 0
     shape = None  # the power of pi and the number of variables
@@ -173,6 +160,14 @@ def _z_sum(poly: Dict[Tuple[int, ...], int | Fraction], weights=None) -> PiRatio
     return PiRational(Fraction(total, zden**E), pi_power)
 
 
+def linear_edge_Z(graph: StableGraph, weights: Sequence[int], aut: int) -> PiRational:
+    """op_Z of graph_polynomial(graph, aut) with each monomial weighted by the
+    sum of weights[e] over the edges e in which it is linear, in one integer
+    pass: no polynomial of rationals is built."""
+    den, poly = _graph_numerators(graph)
+    return op_Z(poly, weights) * (_prefactor(graph, aut) / den)
+
+
 def op_Y(poly: Poly, H: Sequence[int]) -> Fraction:
     """Replace each monomial prod b_e^{m_e} by prod m_e! / H_e^{m_e + 1}."""
     total = Fraction(0)
@@ -188,7 +183,8 @@ def vol_graph(graph: StableGraph, aut: int | None = None) -> PiRational:
     """Volume contribution of a single stable graph (zero if edgeless)."""
     if graph.num_edges == 0:
         return PiRational.zero()
-    return op_Z(graph_polynomial(graph, aut))
+    den, poly = _graph_numerators(graph)
+    return op_Z(poly) * (_prefactor(graph, aut) / den)
 
 
 # ---------------------------------------------------------------------------

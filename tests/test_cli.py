@@ -263,6 +263,17 @@ class TestBoundary:
         for heights in ("--heights", "0"), ("--heights=-1",):
             self.assert_rejected(capsys, *graph, "--num", "1", "--den", "0", *heights)
 
+    def test_expect_on_graph_without_edges_is_indeterminate(self, capsys, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": [{"genus": 2}], "edges": [], "legs": []}))
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(
+                capsys, *json_flag, "expect", "--graph", str(path), "--num", "", "--den", ""
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
     def test_freq_rejects_malformed_graph_files(self, capsys, tmp_path):
         path = tmp_path / "mc.json"
         g0, g1 = {"genus": 0}, {"genus": 1}

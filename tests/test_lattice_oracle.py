@@ -186,8 +186,9 @@ class TestSharedLatticeWork:
         assert volume_convergence_report(3, 0, 30) == got
 
     def test_work_is_shared(self, monkeypatch):
-        """At (3, 0) the 147 monomial sums need 17 distinct cost arrays, and
-        the sorted walk needs at most 156 big-integer products for them."""
+        """At (3, 0) the 147 monomial sums need 17 distinct cost arrays and 67
+        big-integer products, one per head of more than one pair; a second
+        report at the same N makes none."""
         counts = {"products": 0, "calls": 0}
 
         def counted(name, fn):
@@ -207,8 +208,10 @@ class TestSharedLatticeWork:
         volume_convergence_report(3, 0, 20)
         assert time.perf_counter() - start < 1.0
         assert len(lattice_oracle._arrays) == 17
-        assert counts["products"] <= 156
+        assert counts["products"] == 67
         assert counts["calls"] == 147
+        volume_convergence_report(3, 0, 20)
+        assert counts["products"] == 67
 
 
 class TestParityConstraints:

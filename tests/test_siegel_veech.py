@@ -7,13 +7,8 @@ import pytest
 
 from mvq import volume_engine
 from mvq.exact_arith import PiRational, factorial, zeta_even
-from mvq.siegel_veech import (
-    c_area_boundary,
-    c_area_graphsum,
-    lyapunov_sum_plus,
-    partial_gamma,
-)
-from mvq.stable_graphs import StableGraph, enumerate_graphs, is_bridge
+from mvq.siegel_veech import c_area_boundary, c_area_graphsum, lyapunov_sum_plus
+from mvq.stable_graphs import StableGraph, bridges, enumerate_graphs, is_bridge
 from mvq.volume_engine import (
     graph_polynomial,
     kontsevich_poly,
@@ -21,6 +16,7 @@ from mvq.volume_engine import (
     masur_veech_volume,
     op_Z,
     raw_graph_polynomial,
+    vol_graph,
 )
 
 # (g, n) -> (pi^2/3) * c_area, frozen golden values
@@ -45,6 +41,21 @@ LYAPUNOV_TABLE = {
     (2, 0): Fraction(4, 3),
     (2, 1): Fraction(32, 29),
 }
+
+
+def partial_gamma(graph, poly):
+    """Degree-one extraction: sum over edges of the terms linear in b_e,
+    weighted by 1/2 when the edge is a bridge and 1 otherwise.  The rational
+    reference for the integer weights that c_area_graphsum passes to
+    linear_edge_Z."""
+    cut = bridges(graph)
+    chi = [Fraction(1, 2) if e in cut else Fraction(1) for e in range(graph.num_edges)]
+    out = {}
+    for expo, coeff in poly.items():
+        weight = sum(chi[e] for e, m in enumerate(expo) if m == 1)
+        if weight:
+            out[expo] = out.get(expo, Fraction(0)) + coeff * weight
+    return out
 
 
 class TestGraphSum:
@@ -167,7 +178,9 @@ class TestIntegerPass:
             if not graph.edges:
                 assert term.is_zero()
                 continue
-            linear = partial_gamma(graph, graph_polynomial(graph, aut))
+            poly = graph_polynomial(graph, aut)
+            assert vol_graph(graph, aut) == op_Z(poly)
+            linear = partial_gamma(graph, poly)
             assert term == op_Z(linear) == _reference_Z(linear)
             assert raw_graph_polynomial(graph) == _reference_raw_polynomial(graph)
 

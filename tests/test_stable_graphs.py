@@ -15,7 +15,6 @@ from mvq.stable_graphs import (
     StableGraph,
     aut_order,
     canonical_key,
-    cut_edge,
     enumerate_graphs,
     is_bridge,
     unlabeled_graphs,
@@ -204,13 +203,6 @@ class TestCanonicalForm:
             assert aut_order(_relabel(graph, perm)) == entry.aut_order
 
 
-def _pieces(cut):
-    """Normalize a cut result to a list of component graphs."""
-    if hasattr(cut, "genera"):
-        return [cut]
-    return list(cut)
-
-
 class TestEdgeOperations:
     def test_bridge_detection(self):
         # two genus-1 vertices joined by one edge: that edge is a bridge
@@ -228,24 +220,6 @@ class TestEdgeOperations:
                 for e in range(graph.num_edges):
                     rest = graph._replace(edges=graph.edges[:e] + graph.edges[e + 1:])
                     assert is_bridge(graph, e) == (_n_components(rest) > 1)
-
-    def test_bridge_count_matches_cut(self):
-        for entry in enumerate_graphs(2, 0):
-            for e in range(len(entry.graph.edges)):
-                pieces = _pieces(cut_edge(entry.graph, e))
-                assert len(pieces) == (2 if is_bridge(entry.graph, e) else 1)
-
-    def test_cut_edge_preserves_total_genus_and_adds_two_legs(self):
-        for entry in enumerate_graphs(3, 0):
-            graph = entry.graph
-            for e in range(len(graph.edges)):
-                pieces = _pieces(cut_edge(graph, e))
-                total = sum(
-                    sum(p.genera) + _genus_from_cycles(p) for p in pieces
-                )
-                # a non-separating cut lowers the graph genus by one
-                assert total + (0 if is_bridge(graph, e) else 1) == 3
-                assert sum(len(p.legs) for p in pieces) == len(graph.legs) + 2
 
 
 @pytest.mark.parametrize("g,n,count", [(0, 4, None), (1, 1, None), (2, 1, None)])

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 from mvq import volume_engine
-from mvq.exact_arith import PiRational, zeta_even
+from mvq.correlators import correlator
+from mvq.exact_arith import PiRational, factorial, zeta_even
 from mvq.multicurve_stats import b_gn, cylinder_distribution
 from mvq.siegel_veech import c_area_boundary
 from mvq.stable_graphs import StableGraph, enumerate_graphs
@@ -44,6 +46,37 @@ class TestKontsevichPolynomial:
         for g, n in ((0, 4), (1, 1), (1, 2), (2, 1)):
             poly = kontsevich_poly(g, n)
             assert all(sum(m) == 6 * g - 6 + 2 * n for m in poly)
+
+
+def _reference_kontsevich_terms(g, n):
+    """Every term of N_{g,n} as a Fraction: <tau_d>_g / (2^(5g-6+2n) prod d_i!)
+    at the exponents 2d."""
+    terms = {}
+    for d in volume_engine._compositions(3 * g - 3 + n, n):
+        coeff = Fraction(correlator(g, d), 2 ** (5 * g - 6 + 2 * n))
+        for di in d:
+            coeff /= factorial(di)
+        if coeff:
+            terms[tuple(2 * di for di in d)] = coeff
+    return terms
+
+
+class TestVertexFactor:
+    def test_equals_leg_free_reference_terms(self):
+        """_vertex_factor(g, legs, ends) against the terms of a rational
+        reference loop whose leg exponents are zero, on every stable
+        (g, legs + ends) of dimension 3g - 3 + legs + ends <= 6."""
+        cases = [(g, n) for g in range(4) for n in range(10)
+                 if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 6]
+        assert len(cases) == 18
+        for g, n in cases:
+            reference = _reference_kontsevich_terms(g, n)
+            for legs in range(n + 1):
+                want = {e[legs:]: c for e, c in reference.items() if not any(e[:legs])}
+                den, terms = volume_engine._vertex_factor(g, legs, n - legs)
+                assert den == lcm(*(c.denominator for c in want.values()))
+                assert {e: Fraction(num, den) for e, num in terms} == want
+                assert len(terms) == len(want)
 
 
 class TestOperators:
