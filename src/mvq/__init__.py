@@ -11,7 +11,6 @@ from .exact_arith import ExactnessError, PiRational, bernoulli, zeta_even
 from .correlators import correlator, c_gk, epsilon_d, max_bracket, normalized_bracket
 from .stable_graphs import StableGraph, aut_order, enumerate_graphs
 from .volume_engine import (
-    genus0_volume,
     graph_polynomial,
     kontsevich_poly,
     masur_veech_volume,

@@ -8,11 +8,13 @@ rational number.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from typing import Dict
 
 from .exact_arith import PiRational, factorial
 from .stable_graphs import bridges, unlabeled_graphs
-from .volume_engine import linear_edge_Z, masur_veech_volume
+from .volume_engine import _graph_numerators, _shared_prefactor, masur_veech_volume, op_Z
 
 
 def c_area_graphsum(g: int, n: int) -> Fraction:
@@ -22,14 +24,19 @@ def c_area_graphsum(g: int, n: int) -> Fraction:
     graph's term reads only how many legs sit at each vertex, so the sum runs
     over the catalog with unlabeled legs, times n!."""
     volume = masur_veech_volume(g, n).total
-    total = PiRational.zero()
+    # each graph's term without the prefactor that all graphs share, as an
+    # integer numerator summed under its denominator
+    sums: Dict[int, int] = defaultdict(int)
     for entry in unlabeled_graphs(g, n):
         graph = entry.graph
         # twice the weights, so that they are integers
         cut = bridges(graph)
         weights = [1 if e in cut else 2 for e in range(graph.num_edges)]
-        total = total + linear_edge_Z(graph, weights, entry.aut_order)
-    return (total * factorial(n) / volume).rational(0) / 2
+        den, poly = _graph_numerators(graph)
+        z = op_Z(poly, weights).rational(volume.pi_power)
+        sums[(z.denominator * den * entry.aut_order) << (graph.num_vertices - 1)] += z.numerator
+    total = sum(Fraction(num, den) for den, num in sums.items())
+    return total * _shared_prefactor(g, n) * factorial(n) / volume.coeff / 2
 
 
 def _vol_q(g: int, n: int) -> PiRational:
@@ -54,9 +61,8 @@ def _piece_factor(g: int, n: int) -> Fraction | None:
 
 def c_area_boundary(g: int, n: int) -> Fraction:
     """(pi^2/3) * c_area computed from volumes of boundary pieces."""
-    if g == 0 and n < 4:
-        raise ValueError("requires n >= 4")
-    if g < 0 or (g == 1 and n < 2):
+    volume = masur_veech_volume(g, n).total  # rejects unstable (g, n) and (0, 3)
+    if (g, n) == (1, 1):
         raise ValueError("requires g >= 2, or g = 1 with n >= 2")
     d = 6 * g - 6 + 2 * n
     ell = 4 * g - 4 + n
@@ -84,7 +90,7 @@ def c_area_boundary(g: int, n: int) -> Fraction:
             Fraction(factorial(ell), factorial(ell - 2))
             * Fraction(factorial(d - 3), factorial(d - 1))
         ) * _vol_q(g - 1, n + 2)
-    ratio = rhs / _vol_q(g, n)
+    ratio = rhs / volume
     return ratio.rational(-2) / 3
 
 

@@ -10,10 +10,9 @@ The catalog is enumerated once with unlabeled legs, a leg count per vertex
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
-from math import factorial, prod
+from math import factorial
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Set, Tuple
 
 __all__ = [
@@ -123,20 +122,23 @@ def _colors(graph: StableGraph, labeled: bool) -> List[Tuple]:
 
 def _refined_colors(graph: StableGraph, labeled: bool) -> List[str]:
     """Iterated color refinement: start from (genus, legs) and fold in the
-    multiset of neighbor colors until stable.  Each color is the repr of the
-    nested tuple (previous color, sorted neighbor colors), built as a string
-    from the previous round's strings."""
+    multiset of neighbor colors until no class splits or every vertex has
+    its own color.  Each color is the repr of the nested tuple (previous
+    color, sorted neighbor colors), built as a string from the previous
+    round's strings."""
     V = graph.num_vertices
     colors = list(map(repr, _colors(graph, labeled)))
-    for _ in range(V):
+    classes = len(set(colors))
+    while classes < V:
         neigh: List[List[str]] = [[] for _ in range(V)]
         for i, j in graph.edges:
             neigh[i].append(colors[j])
             neigh[j].append(colors[i])
         new = ["(%s, %r)" % (colors[v], tuple(sorted(neigh[v]))) for v in range(V)]
-        if len(set(new)) == len(set(colors)):
+        split = len(set(new))
+        if split == classes:
             break
-        colors = new
+        colors, classes = new, split
     return colors
 
 
@@ -148,7 +150,39 @@ def _canonicalize(graph: StableGraph, labeled: bool = False) -> Tuple[bytes, int
     colors = _refined_colors(graph, labeled)
     order = sorted(range(V), key=colors.__getitem__)
     blocks = [list(b) for _, b in groupby(order, key=colors.__getitem__)]
+    # with one vertex per color block, the color order is the only candidate
+    perm, stab = (order, 1) if len(blocks) == V else _search(graph, blocks)
+    pos = [0] * V
+    for new, old in enumerate(perm):
+        pos[old] = new
+    ends = []
+    for i, j in graph.edges:
+        a, b = pos[i], pos[j]
+        ends.append((a, b) if a <= b else (b, a))
+    edges = tuple(sorted(ends))
+    genera = tuple(graph.genera[v] for v in perm)
+    legs = tuple(pos[v] for v in graph.legs)
+    legs = legs if labeled else tuple(sorted(legs))
+    canon = StableGraph(genera, edges, legs)
+    key = repr((genera, edges, legs)).encode()
 
+    aut = stab
+    for (i, j), run in groupby(edges):
+        m = len(list(run))
+        aut *= factorial(m) << m if i == j else factorial(m)
+    if not labeled:
+        for _, run in groupby(legs):
+            aut *= factorial(len(list(run)))
+    return key, aut, canon
+
+
+def _search(graph: StableGraph, blocks: List[List[int]]) -> Tuple[List[int], int]:
+    """Branch-and-bound search for the lexicographically minimal sequence of
+    adjacency rows (restricted to earlier positions plus the diagonal) over
+    all vertex orders preserving the color blocks: the first order attaining
+    it, and the number of orders attaining it, which is the vertex part of
+    the automorphism order."""
+    V = graph.num_vertices
     # adjacency matrix with multiplicities (diagonal = loop count)
     adj = [[0] * V for _ in range(V)]
     for i, j in graph.edges:
@@ -163,10 +197,6 @@ def _canonicalize(graph: StableGraph, labeled: bool = False) -> Tuple[bytes, int
     for b in blocks:
         block_at.extend([b] * len(b))
 
-    # Branch-and-bound search for the lexicographically minimal sequence of
-    # adjacency rows (restricted to earlier positions plus the diagonal) over
-    # all permutations preserving the color blocks.  Counting the permutations
-    # attaining the minimum gives the vertex part of the automorphism order.
     best_rows: List[Tuple[int, ...]] = []
     best_perm: List[int] = []
     cur_rows: List[Tuple[int, ...]] = [()] * V
@@ -211,24 +241,7 @@ def _canonicalize(graph: StableGraph, labeled: bool = False) -> Tuple[bytes, int
             used[v] = False
 
     rec(0, True)
-    perm = best_perm
-    pos = [0] * V
-    for new, old in enumerate(perm):
-        pos[old] = new
-    edges = tuple(sorted(tuple(sorted((pos[i], pos[j]))) for i, j in graph.edges))
-    genera = tuple(graph.genera[v] for v in perm)
-    legs = tuple(pos[v] for v in graph.legs)
-    legs = legs if labeled else tuple(sorted(legs))
-    canon = StableGraph(genera, edges, legs)
-    key = repr((genera, edges, legs)).encode()
-
-    mult = Counter(edges)
-    aut = stab if labeled else stab * prod(factorial(legs.count(v)) for v in set(legs))
-    for (i, j), m in mult.items():
-        aut *= factorial(m)
-        if i == j:
-            aut *= 2 ** m
-    return key, aut, canon
+    return best_perm, stab
 
 
 def aut_order(graph: StableGraph) -> int:
@@ -290,16 +303,24 @@ def _degenerations(graph: StableGraph) -> Iterator[Tuple[StableGraph, Edge]]:
 
 def _is_largest_edge(graph: StableGraph, edge: Edge) -> bool:
     """True iff no edge of ``graph`` has a larger color than ``edge``.  A vertex
-    is colored by (genus, leg count, valence), an edge by (is loop, sorted end
+    is colored by [genus, leg count, valence], an edge by (is loop, sorted end
     colors); both colors are isomorphism invariants."""
-    colors = [c + (nv,) for c, nv in zip(_colors(graph, labeled=False), graph.valences())]
+    genera, edges, legs = graph
+    colors = [[gv, 0, 0] for gv in genera]
+    for v in legs:
+        color = colors[v]
+        color[1] += 1
+        color[2] += 1
+    for i, j in edges:
+        colors[i][2] += 1
+        colors[j][2] += 1
 
     def color(e: Edge) -> Tuple:
-        i, j = e
-        return (i == j,) + tuple(sorted((colors[i], colors[j])))
+        ci, cj = colors[e[0]], colors[e[1]]
+        return (e[0] == e[1], ci, cj) if ci <= cj else (e[0] == e[1], cj, ci)
 
     top = color(edge)
-    return all(color(e) <= top for e in graph.edges)
+    return all(color(e) <= top for e in edges)
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain, compress
 from math import gcd, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
@@ -69,22 +70,37 @@ def _graph_numerators(graph: StableGraph) -> Tuple[int, Dict[Tuple[int, ...], in
     E = graph.num_edges
     # no exponent exceeds 1 + the degree of prod_v N_{g_v, n_v}
     width = (6 * graph.genus - 5 + 2 * graph.num_legs - 2 * E).bit_length()
+    # incident edge indices per vertex, loops listed twice
+    incident: List[List[int]] = [[] for _ in graph.genera]
+    for idx, (i, j) in enumerate(graph.edges):
+        incident[i].append(idx)
+        incident[j].append(idx)
     den = 1
     poly = {sum(1 << (width * e) for e in range(E)): 1}  # the product over edges of b_e
     for v, gv in enumerate(graph.genera):
-        # incident edge indices, loops listed twice
-        incident = [idx for idx, ends in enumerate(graph.edges) for w in ends if w == v]
-        vden, terms = _vertex_factor(gv, graph.legs.count(v), len(incident))
-        factor: Dict[int, int] = defaultdict(int)
-        for expo, num in terms:
-            factor[sum(e << (width * i) for i, e in zip(incident, expo))] += num
+        vden, factor = _placed_factor(gv, graph.legs.count(v), tuple(incident[v]), width)
         product: Dict[int, int] = defaultdict(int)
         for k1, c1 in poly.items():
-            for k2, c2 in factor.items():
+            for k2, c2 in factor:
                 product[k1 + k2] += c1 * c2
         poly, den = product, den * vden
     mask = (1 << width) - 1
-    return den, {tuple(k >> (width * e) & mask for e in range(E)): c for k, c in poly.items()}
+    shifts = [width * e for e in range(E)]
+    return den, {tuple([k >> s & mask for s in shifts]): c for k, c in poly.items()}
+
+
+@lru_cache(maxsize=None)
+def _placed_factor(
+    g: int, legs: int, incident: Tuple[int, ...], width: int
+) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """_vertex_factor(g, legs, len(incident)) with the exponent of end i
+    shifted into the packed slot of edge incident[i]: (den, ((key, numerator),
+    ...)).  The two ends of a loop share a slot, so their terms may merge."""
+    vden, terms = _vertex_factor(g, legs, len(incident))
+    factor: Dict[int, int] = defaultdict(int)
+    for expo, num in terms:
+        factor[sum(e << (width * i) for i, e in zip(incident, expo))] += num
+    return vden, tuple(factor.items())
 
 
 def raw_graph_polynomial(graph: StableGraph) -> Poly:
@@ -96,14 +112,17 @@ def raw_graph_polynomial(graph: StableGraph) -> Poly:
     return {expo: Fraction(num, den) for expo, num in poly.items()}
 
 
+def _shared_prefactor(g: int, n: int) -> Fraction:
+    """The part of _prefactor that every graph of (g, n) shares."""
+    return Fraction(
+        2 ** (6 * g - 5 + 2 * n) * factorial(4 * g - 4 + n), factorial(6 * g - 7 + 2 * n)
+    )
+
+
 def _prefactor(graph: StableGraph, aut: int | None) -> Fraction:
     """The factor by which graph_polynomial scales raw_graph_polynomial."""
-    g, n = graph.genus, graph.num_legs
     aut = aut_order(graph) if aut is None else aut
-    return Fraction(
-        2 ** (6 * g - 5 + 2 * n) * factorial(4 * g - 4 + n),
-        factorial(6 * g - 7 + 2 * n) * 2 ** (graph.num_vertices - 1) * aut,
-    )
+    return _shared_prefactor(graph.genus, graph.num_legs) / (2 ** (graph.num_vertices - 1) * aut)
 
 
 def graph_polynomial(graph: StableGraph, aut: int | None = None) -> Poly:
@@ -139,11 +158,11 @@ def op_Z(
     Every exponent must be odd so that only even zeta values appear, and
     every monomial must have the same sum(m_e + 1), the power of pi that
     factors out of the whole sum.  The zeta factors are integers over one lcm."""
-    zden, znum = _zeta_numerators(max((max(expo, default=0) for expo in poly), default=0))
+    zden, znum = _zeta_numerators(max(chain.from_iterable(poly), default=0))
     total = 0
     shape = None  # the power of pi and the number of variables
     for expo, coeff in poly.items():
-        z = 1 if weights is None else sum(w for w, m in zip(weights, expo) if m == 1)
+        z = 1 if weights is None else sum(compress(weights, map((1).__eq__, expo)))
         if not z:
             continue
         here = (sum(expo) + len(expo), len(expo))
@@ -151,21 +170,13 @@ def op_Z(
             shape = here
         elif here != shape:
             raise ExactnessError("polynomial mixes (pi power, variables) %s and %s" % (shape, here))
-        for m in expo:
-            if m % 2 != 1:
-                raise ExactnessError(f"even exponent {m} in zeta evaluation")
-            z *= znum[m]
-        total += coeff * z
+        zeta = prod(map(znum.__getitem__, expo))
+        if not zeta:  # znum is 0 exactly at the even exponents
+            m = next(m for m in expo if m % 2 == 0)
+            raise ExactnessError(f"even exponent {m} in zeta evaluation")
+        total += coeff * z * zeta
     pi_power, E = shape or (0, 0)
     return PiRational(Fraction(total, zden**E), pi_power)
-
-
-def linear_edge_Z(graph: StableGraph, weights: Sequence[int], aut: int) -> PiRational:
-    """op_Z of graph_polynomial(graph, aut) with each monomial weighted by the
-    sum of weights[e] over the edges e in which it is linear, in one integer
-    pass: no polynomial of rationals is built."""
-    den, poly = _graph_numerators(graph)
-    return op_Z(poly, weights) * (_prefactor(graph, aut) / den)
 
 
 def op_Y(poly: Poly, H: Sequence[int]) -> Fraction:
@@ -303,10 +314,3 @@ def masur_veech_volume(g: int, n: int) -> VolumeReport:
     return VolumeReport(g, n, {
         k: PiRational(pref * w, 6 * g - 6 + 2 * n) for k, w in enumerate(vec) if k and w
     })
-
-
-def genus0_volume(n: int) -> PiRational:
-    """Closed form for the genus-zero volume with n poles."""
-    if n < 4:
-        raise ValueError("need n >= 4")
-    return PiRational(Fraction(2) ** (5 - n), 2 * n - 6)

@@ -194,6 +194,12 @@ class TestBoundary:
     def test_sv_rejects_zero_three(self, capsys):
         self.assert_rejected(capsys, "sv", "0", "3", "--method", "both")
 
+    # the boundary route says what the graph-sum route says
+    @pytest.mark.parametrize("gn", [("0", "2"), ("1", "0"), ("0", "3")])
+    def test_sv_boundary_rejects_unstable_and_zero_three(self, capsys, gn):
+        err = self.assert_rejected(capsys, "sv", *gn, "--method", "boundary")
+        assert err == self.assert_rejected(capsys, "sv", *gn)
+
     def test_lyapunov_rejects_zero_three(self, capsys):
         self.assert_rejected(capsys, "lyapunov", "0", "3")
 

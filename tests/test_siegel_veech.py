@@ -12,7 +12,6 @@ from mvq.stable_graphs import StableGraph, bridges, enumerate_graphs, is_bridge
 from mvq.volume_engine import (
     graph_polynomial,
     kontsevich_poly,
-    linear_edge_Z,
     masur_veech_volume,
     op_Z,
     raw_graph_polynomial,
@@ -43,11 +42,18 @@ LYAPUNOV_TABLE = {
 }
 
 
+def linear_edge_Z(graph, weights, aut):
+    """op_Z of graph_polynomial(graph, aut) with each monomial weighted by the
+    sum of weights[e] over the edges e in which it is linear: the reference
+    for one graph's term in c_area_graphsum."""
+    den, poly = volume_engine._graph_numerators(graph)
+    return op_Z(poly, weights) * (volume_engine._prefactor(graph, aut) / den)
+
+
 def partial_gamma(graph, poly):
     """Degree-one extraction: sum over edges of the terms linear in b_e,
     weighted by 1/2 when the edge is a bridge and 1 otherwise.  The rational
-    reference for the integer weights that c_area_graphsum passes to
-    linear_edge_Z."""
+    reference for the integer weights that c_area_graphsum passes to op_Z."""
     cut = bridges(graph)
     chi = [Fraction(1, 2) if e in cut else Fraction(1) for e in range(graph.num_edges)]
     out = {}

@@ -3,8 +3,10 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import groupby
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -103,6 +105,14 @@ CATALOG_DIGESTS = {
     (1, 4): "10818a46c46d15fb22c577b36efdcb5a40afe372e0ae948bf1307505dc602e5f",
 }
 
+# the same digests of the degeneration walk's own representatives, which
+# enumerate_graphs returns as they are at n <= 1
+WALK_DIGESTS = {
+    (4, 0): "05c1fedcc7422d8991d3c54ffc2709e09c1c9b60ebebb326bac40dff79e05ceb",
+    (3, 1): "dfc754a1147107faaba7a8a2b5edd819c329cd5484816c30ecaba3455fa41dea",
+    (4, 1): "38af8f641d0e72b3a77e865b1959b67cef99f87c6c4a42aec53c59fdaab400af",
+}
+
 # (g, n) -> number of classes of stable graphs with unlabeled legs
 UNLABELED_COUNTS = {(3, 2): 918, (2, 4): 683, (0, 7): 13, (0, 8): 32, (1, 5): 76}
 
@@ -112,6 +122,11 @@ class TestUnlabeledCatalog:
     def test_expanded_catalog_is_unchanged(self, g, n):
         seq = [(e.graph, e.aut_order, e.canonical_key) for e in enumerate_graphs(g, n)]
         assert hashlib.sha256(repr(seq).encode()).hexdigest() == CATALOG_DIGESTS[g, n]
+
+    @pytest.mark.parametrize("g,n", sorted(WALK_DIGESTS))
+    def test_walk_catalog_is_unchanged(self, g, n):
+        seq = [(e.graph, e.aut_order, e.canonical_key) for e in enumerate_graphs(g, n)]
+        assert hashlib.sha256(repr(seq).encode()).hexdigest() == WALK_DIGESTS[g, n]
 
     def test_class_counts(self):
         for (g, n), count in UNLABELED_COUNTS.items():
@@ -145,6 +160,100 @@ class TestUnlabeledCatalog:
             calls[0] = 0
             catalog = unlabeled_graphs.__wrapped__(g, n)
             assert calls[0] <= 2 * len(catalog), (g, n, calls[0])
+
+
+def _walked_graphs(monkeypatch, g, n):
+    """Every graph that the degeneration walk for (g, n) canonicalizes."""
+    seen = []
+    canonicalize = stable_graphs._canonicalize
+
+    def recorded(graph, *args):
+        seen.append(graph)
+        return canonicalize(graph, *args)
+
+    monkeypatch.setattr(stable_graphs, "_canonicalize", recorded)
+    stable_graphs._degeneration_walk(g, n)
+    monkeypatch.undo()
+    return seen
+
+
+def _full_refined_colors(graph, labeled):
+    """Color refinement that always builds the round after the last split."""
+    V = graph.num_vertices
+    colors = list(map(repr, stable_graphs._colors(graph, labeled)))
+    for _ in range(V):
+        neigh = [[] for _ in range(V)]
+        for i, j in graph.edges:
+            neigh[i].append(colors[j])
+            neigh[j].append(colors[i])
+        new = ["(%s, %r)" % (colors[v], tuple(sorted(neigh[v]))) for v in range(V)]
+        if len(set(new)) == len(set(colors)):
+            break
+        colors = new
+    return colors
+
+
+def _searched_canonical_form(graph, labeled):
+    """Canonical form by a branch-and-bound search over all block-preserving
+    vertex orders, even when every color block is one vertex."""
+    V = graph.num_vertices
+    colors = _full_refined_colors(graph, labeled)
+    order = sorted(range(V), key=colors.__getitem__)
+    block_at = []
+    for _, b in groupby(order, key=colors.__getitem__):
+        b = list(b)
+        block_at.extend([b] * len(b))
+    adj = [[0] * V for _ in range(V)]
+    for i, j in graph.edges:
+        adj[i][j] += 1
+        if i != j:
+            adj[j][i] += 1
+    best = [None, None, 0]  # rows, order, count of orders attaining them
+
+    def rec(perm, rows):
+        if len(perm) == V:
+            if best[0] is None or rows < best[0]:
+                best[:] = [rows, perm, 1]
+            elif rows == best[0]:
+                best[2] += 1
+            return
+        pos = len(perm)
+        for v in block_at[pos]:
+            if v not in perm:
+                row = tuple(adj[v][u] for u in perm) + (adj[v][v],)
+                if best[0] is None or rows + [row] <= best[0][: pos + 1]:
+                    rec(perm + [v], rows + [row])
+
+    rec([], [])
+    perm, stab = best[1], best[2]
+    at = {old: new for new, old in enumerate(perm)}
+    edges = tuple(sorted(tuple(sorted((at[i], at[j]))) for i, j in graph.edges))
+    genera = tuple(graph.genera[v] for v in perm)
+    legs = tuple(at[v] for v in graph.legs)
+    legs = legs if labeled else tuple(sorted(legs))
+    aut = stab if labeled else stab * prod(factorial(legs.count(v)) for v in set(legs))
+    for (i, j), m in Counter(edges).items():
+        aut *= factorial(m) * (2**m if i == j else 1)
+    return repr((genera, edges, legs)).encode(), aut, StableGraph(genera, edges, legs)
+
+
+class TestCanonicalizeReference:
+    """Refinement and search stop once their answer is known; every graph
+    that three walks canonicalize gets the same colors and canonical form
+    as from the full rounds and the full search."""
+
+    @pytest.mark.parametrize("g,n", [(3, 2), (2, 4), (4, 0)])
+    def test_walked_graphs(self, monkeypatch, g, n):
+        graphs = _walked_graphs(monkeypatch, g, n)
+        assert graphs
+        for graph in graphs:
+            for labeled in (False, True):
+                colors = stable_graphs._refined_colors(graph, labeled)
+                full = _full_refined_colors(graph, labeled)
+                assert colors == full
+                assert stable_graphs._canonicalize(graph, labeled) == (
+                    _searched_canonical_form(graph, labeled)
+                )
 
 
 def _n_components(graph):
