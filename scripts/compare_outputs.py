@@ -1,0 +1,79 @@
+"""Compare ``mvq --json`` outputs of two source checkouts, request by request.
+
+    python3 scripts/compare_outputs.py PARENT CHANGE
+
+PARENT and CHANGE are two source checkouts, each with its own ``src/mvq``.
+Every request of the fixed list below runs once in each tree, the two sides
+side by side, as a fresh ``python -c 'from mvq.cli import main; ...'`` with
+that tree's ``src`` on ``PYTHONPATH``.  A line per request prints ``same`` or
+``DIFF`` with the exit code and the SHA-256 of the standard output of each
+side.  The script exits 1 if any request differs in output or exit code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ENTRY = "import sys; from mvq.cli import main; sys.exit(main())"
+
+# the six requests of the benchmark's workloads, then a wider sweep over the
+# catalog, both Siegel-Veech routes, statistics and the golden-table check
+REQUESTS = (
+    "volume 4 0",
+    "volume 4 1 --per-cylinder",
+    "sv 3 2 --method both",
+    "sv 2 4 --method both",
+    "oracle count 3 0 --N 400",
+    "oracle count 2 0 --N 4000",
+    "sv 3 3 --method both",
+    "graphs 4 0",
+    "graphs 2 4",
+    "graphs 0 7",
+    "volume 3 2 --per-graph",
+    "lyapunov 0 8",
+    "pk 5 0",
+    "check-all",
+)
+
+
+def start(tree: Path, request: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.Popen(
+        [sys.executable, "-c", ENTRY, "--json", *request.split()],
+        cwd=tree, env=env, stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args(argv)
+    trees = (args.parent.resolve(), args.change.resolve())
+    for tree in trees:
+        if not (tree / "src" / "mvq" / "cli.py").is_file():
+            parser.error(f"no mvq sources under {tree}")
+
+    differ = 0
+    for request in REQUESTS:
+        procs = [start(tree, request) for tree in trees]
+        sides = []
+        for proc in procs:
+            out, _ = proc.communicate()
+            sides.append((proc.returncode, hashlib.sha256(out).hexdigest()))
+        same = sides[0] == sides[1]
+        differ += not same
+        cells = "  ".join("exit %d sha256 %s" % side for side in sides)
+        print("%-4s %-28s %s" % ("same" if same else "DIFF", request, cells), flush=True)
+    print("%d of %d requests differ" % (differ, len(REQUESTS)))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,8 +52,9 @@ def frequency(mc: Multicurve) -> Fraction:
     """Asymptotic frequency c(gamma) of the topological type of a multicurve
     among simple closed hyperbolic multigeodesics."""
     mc.validate()
-    g = mc.graph.genus
-    n = mc.graph.num_legs
+    g, n = mc.graph.genus, mc.graph.num_legs
+    if (g, n) == (0, 3):
+        raise ValueError("c(gamma) at (g, n) = (0, 3) is undefined: its only graph has no edge")
     return vol_multicurve(mc.graph, mc.weights) / const_gn(g, n)
 
 
@@ -118,18 +119,6 @@ def _shift_poly(poly: Poly, num: Sequence[int], den: Sequence[int]) -> Poly:
     return out
 
 
-def _op_Y_symbolic(poly: Poly, H: Sequence) -> sympy.Expr:
-    import sympy
-
-    total = sympy.Integer(0)
-    for expo, coeff in poly.items():
-        term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for m, h in zip(expo, H):
-            term *= factorial(m) / sympy.sympify(h) ** (m + 1)
-        total += term
-    return sympy.together(total)
-
-
 def _op_Z_symbolic(poly: Poly) -> sympy.Expr:
     """Zeta evaluation allowing odd zeta values; sympy.oo when the divergent
     zeta(1) pattern appears in every monomial, error when only in some."""
@@ -149,6 +138,9 @@ def _op_Z_symbolic(poly: Poly) -> sympy.Expr:
     return total
 
 
+_NO_EDGE = "indeterminate: a graph with no edge has no square-tiled surface (0/0)"
+
+
 def expectation_ratio(
     graph: StableGraph,
     num: Sequence[int],
@@ -165,13 +157,12 @@ def expectation_ratio(
     import sympy
 
     if not graph.edges:
-        raise ValueError("indeterminate: a graph with no edge has no square-tiled surface (0/0)")
+        raise ValueError(_NO_EDGE)
     poly = graph_polynomial(graph)
     shifted = _shift_poly(poly, num, den)
     if H is not None:
-        if all(isinstance(h, int) for h in H):
-            return op_Y(shifted, H) / op_Y(poly, H)
-        return sympy.simplify(_op_Y_symbolic(shifted, H) / _op_Y_symbolic(poly, H))
+        ratio = op_Y(shifted, H) / op_Y(poly, H)
+        return ratio if isinstance(ratio, Fraction) else sympy.simplify(ratio)
     numerator = _op_Z_symbolic(shifted)
     if numerator is sympy.oo:
         return sympy.oo
@@ -186,7 +177,10 @@ def prob_heights(
     bound: Optional[int] = None,
 ) -> PiRational:
     """Probability that the cylinder heights of a random square-tiled surface
-    of type ``graph`` equal ``exact``, or are all at most ``bound``."""
+    of type ``graph`` equal ``exact``, or are all at most ``bound``.  Raises
+    ValueError on a graph with no edge, as ``expectation_ratio`` does."""
+    if not graph.edges:
+        raise ValueError(_NO_EDGE)
     poly = graph_polynomial(graph)
     z = op_Z(poly)
     if exact is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 from math import factorial
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Tuple
 
 __all__ = [
     "StableGraph",
@@ -22,7 +22,6 @@ __all__ = [
     "unlabeled_graphs",
     "aut_order",
     "bridges",
-    "is_bridge",
 ]
 
 Edge = Tuple[int, int]
@@ -64,7 +63,12 @@ class StableGraph(NamedTuple):
         return tuple(val)
 
     def is_connected(self) -> bool:
-        return len(_component(self, 0)) == self.num_vertices
+        seen = {0}
+        while True:
+            more = {i + j - v for i, j in self.edges for v in {i, j} & seen} - seen
+            if not more:
+                return len(seen) == self.num_vertices
+            seen |= more
 
     def to_json(self) -> dict:
         return {
@@ -177,71 +181,38 @@ def _canonicalize(graph: StableGraph, labeled: bool = False) -> Tuple[bytes, int
 
 
 def _search(graph: StableGraph, blocks: List[List[int]]) -> Tuple[List[int], int]:
-    """Branch-and-bound search for the lexicographically minimal sequence of
-    adjacency rows (restricted to earlier positions plus the diagonal) over
-    all vertex orders preserving the color blocks: the first order attaining
-    it, and the number of orders attaining it, which is the vertex part of
-    the automorphism order."""
+    """Depth-first search, cutting every prefix above the best rows found, for
+    the least sequence of adjacency rows (earlier positions plus the diagonal)
+    over the block-preserving vertex orders: the first order attaining it and
+    their number, the vertex part of the automorphism order."""
     V = graph.num_vertices
     # adjacency matrix with multiplicities (diagonal = loop count)
     adj = [[0] * V for _ in range(V)]
     for i, j in graph.edges:
-        if i == j:
-            adj[i][i] += 1
-        else:
-            adj[i][j] += 1
+        adj[i][j] += 1
+        if i != j:
             adj[j][i] += 1
+    block_at = [b for b in blocks for _ in b]  # the block of each canonical position
+    best: list = [None, None, 0]  # rows, first order attaining them, count
 
-    # block membership of each canonical position
-    block_at: List[List[int]] = []
-    for b in blocks:
-        block_at.extend([b] * len(b))
-
-    best_rows: List[Tuple[int, ...]] = []
-    best_perm: List[int] = []
-    cur_rows: List[Tuple[int, ...]] = [()] * V
-    stab = 0
-    gen = 0
-    used = [False] * V
-    perm_acc: List[int] = [0] * V
-
-    def rec(pos: int, eq: bool) -> None:
-        nonlocal stab, gen, best_perm, best_rows
+    def rec(perm: List[int], rows: Tuple[Tuple[int, ...], ...]) -> None:
+        pos = len(perm)
         if pos == V:
-            if eq and best_rows:
-                stab += 1
-            else:
-                stab = 1
-                best_rows = cur_rows[:V]
-                best_perm = perm_acc[:V]
-                gen += 1
+            if rows == best[0]:
+                best[2] += 1
+            else:  # larger prefixes were cut, so these rows are smaller
+                best[:] = [rows, perm, 1]
             return
-        my_gen = gen
         for v in block_at[pos]:
-            if used[v]:
-                continue
-            if my_gen != gen:
-                # a descendant installed a new best through this node, so our
-                # prefix now coincides with the best prefix
-                my_gen = gen
-                eq = True
-            av = adj[v]
-            row = tuple(av[perm_acc[q]] for q in range(pos)) + (av[v],)
-            child_eq = eq
-            if eq and best_rows:
-                ref = best_rows[pos]
-                if row > ref:
-                    continue
-                if row < ref:
-                    child_eq = False
-            used[v] = True
-            perm_acc[pos] = v
-            cur_rows[pos] = row
-            rec(pos + 1, child_eq)
-            used[v] = False
+            if v not in perm:
+                av = adj[v]
+                new = rows + (tuple([av[u] for u in perm]) + (av[v],),)
+                # a proper prefix of best[0] compares below it
+                if best[1] is None or new <= best[0]:
+                    rec(perm + [v], new)
 
-    rec(0, True)
-    return best_perm, stab
+    rec([], ())
+    return best[1], best[2]
 
 
 def aut_order(graph: StableGraph) -> int:
@@ -395,17 +366,3 @@ def bridges(graph: StableGraph) -> FrozenSet[int]:
 
     low(0, -1)
     return frozenset(found)
-
-
-def is_bridge(graph: StableGraph, e: int) -> bool:
-    """True iff removing edge e disconnects the graph."""
-    return e in bridges(graph)
-
-
-def _component(graph: StableGraph, start: int) -> Set[int]:
-    seen = {start}
-    while True:
-        more = {i + j - v for i, j in graph.edges for v in {i, j} & seen} - seen
-        if not more:
-            return seen
-        seen |= more

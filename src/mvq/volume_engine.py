@@ -179,13 +179,14 @@ def op_Z(
     return PiRational(Fraction(total, zden**E), pi_power)
 
 
-def op_Y(poly: Poly, H: Sequence[int]) -> Fraction:
-    """Replace each monomial prod b_e^{m_e} by prod m_e! / H_e^{m_e + 1}."""
+def op_Y(poly: Poly, H: Sequence):
+    """Replace each monomial prod b_e^{m_e} by prod m_e! / H_e^{m_e + 1}: an
+    exact Fraction for integer heights, a sympy expression for sympy ones."""
     total = Fraction(0)
     for expo, coeff in poly.items():
         term = coeff
         for m, h in zip(expo, H):
-            term *= Fraction(factorial(m), h ** (m + 1))
+            term = term * factorial(m) / h ** (m + 1)
         total += term
     return total
 

@@ -298,6 +298,16 @@ class TestBoundary:
             path.write_text(json.dumps(doc))
             self.assert_rejected(capsys, "freq", "--multicurve", str(path))
 
+    def test_freq_rejects_zero_three(self, capsys, tmp_path):
+        # the one-vertex (0, 3) graph is stable but has no edge, so there is
+        # no multicurve and the frequency's normalization is 0
+        path = tmp_path / "mc.json"
+        legs = [{"vertex": 0, "label": l} for l in (1, 2, 3)]
+        path.write_text(json.dumps({"vertices": [{"genus": 0}], "edges": [], "legs": legs}))
+        for json_flag in ((), ("--json",)):
+            err = self.assert_rejected(capsys, *json_flag, "freq", "--multicurve", str(path))
+            assert "(0, 3)" in err
+
 
 class TestGraphsAndChecks:
     def test_graphs_listing(self, capsys):

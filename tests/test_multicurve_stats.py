@@ -145,6 +145,12 @@ class TestHeightLaws:
         for graph in (PHI, TWO_LOOPS):
             assert float(prob_heights(graph)) == pytest.approx(1.0)
 
+    def test_graph_without_edges_is_indeterminate(self):
+        for graph in (StableGraph((2,), (), ()), StableGraph((0,), (), (0, 0, 0))):
+            for kwargs in ({}, {"exact": ()}, {"bound": 2}):
+                with pytest.raises(ValueError, match="indeterminate"):
+                    prob_heights(graph, **kwargs)
+
 
 class TestExpectations:
     def test_conditional_on_heights_symbolic(self):

@@ -17,8 +17,8 @@ from mvq.stable_graphs import (
     StableGraph,
     aut_order,
     canonical_key,
+    bridges,
     enumerate_graphs,
-    is_bridge,
     unlabeled_graphs,
 )
 
@@ -256,6 +256,96 @@ class TestCanonicalizeReference:
                 )
 
 
+def _reference_search(graph, blocks):
+    """The branch-and-bound search that ``_search`` replaced: it tracks
+    whether the current prefix equals the best rows' prefix with a flag and
+    a generation counter that a descendant bumps when it installs a new
+    best."""
+    V = graph.num_vertices
+    adj = [[0] * V for _ in range(V)]
+    for i, j in graph.edges:
+        if i == j:
+            adj[i][i] += 1
+        else:
+            adj[i][j] += 1
+            adj[j][i] += 1
+
+    block_at = []
+    for b in blocks:
+        block_at.extend([b] * len(b))
+
+    best_rows = []
+    best_perm = []
+    cur_rows = [()] * V
+    stab = 0
+    gen = 0
+    used = [False] * V
+    perm_acc = [0] * V
+
+    def rec(pos, eq):
+        nonlocal stab, gen, best_perm, best_rows
+        if pos == V:
+            if eq and best_rows:
+                stab += 1
+            else:
+                stab = 1
+                best_rows = cur_rows[:V]
+                best_perm = perm_acc[:V]
+                gen += 1
+            return
+        my_gen = gen
+        for v in block_at[pos]:
+            if used[v]:
+                continue
+            if my_gen != gen:
+                # a descendant installed a new best through this node, so our
+                # prefix now coincides with the best prefix
+                my_gen = gen
+                eq = True
+            av = adj[v]
+            row = tuple(av[perm_acc[q]] for q in range(pos)) + (av[v],)
+            child_eq = eq
+            if eq and best_rows:
+                ref = best_rows[pos]
+                if row > ref:
+                    continue
+                if row < ref:
+                    child_eq = False
+            used[v] = True
+            perm_acc[pos] = v
+            cur_rows[pos] = row
+            rec(pos + 1, child_eq)
+            used[v] = False
+
+    rec(0, True)
+    return best_perm, stab
+
+
+class TestSearchReference:
+    """``_search`` returns the reference search's first minimal order and
+    count on every search that canonicalizing three walks' graphs runs,
+    labeled and unlabeled."""
+
+    @pytest.mark.parametrize("g,n", [(3, 2), (2, 4), (4, 0)])
+    def test_walked_searches(self, monkeypatch, g, n):
+        graphs = _walked_graphs(monkeypatch, g, n)
+        inputs = []
+        search = stable_graphs._search
+
+        def recorded(graph, blocks):
+            inputs.append((graph, blocks))
+            return search(graph, blocks)
+
+        monkeypatch.setattr(stable_graphs, "_search", recorded)
+        for graph in graphs:
+            for labeled in (False, True):
+                stable_graphs._canonicalize(graph, labeled)
+        monkeypatch.undo()
+        assert inputs
+        for graph, blocks in inputs:
+            assert search(graph, blocks) == _reference_search(graph, blocks), graph
+
+
 def _n_components(graph):
     parent = list(range(len(graph.genera)))
 
@@ -316,10 +406,10 @@ class TestEdgeOperations:
     def test_bridge_detection(self):
         # two genus-1 vertices joined by one edge: that edge is a bridge
         dumbbell = StableGraph((1, 1), ((0, 1),), ())
-        assert is_bridge(dumbbell, 0)
+        assert 0 in bridges(dumbbell)
         # a loop is never a bridge
         loop = StableGraph((1,), ((0, 0),), ())
-        assert not is_bridge(loop, 0)
+        assert 0 not in bridges(loop)
 
     def test_bridge_means_removal_disconnects(self):
         # trees at (0, 6), parallel edges at (3, 0), both at (2, 2)
@@ -328,7 +418,7 @@ class TestEdgeOperations:
                 graph = entry.graph
                 for e in range(graph.num_edges):
                     rest = graph._replace(edges=graph.edges[:e] + graph.edges[e + 1:])
-                    assert is_bridge(graph, e) == (_n_components(rest) > 1)
+                    assert (e in bridges(graph)) == (_n_components(rest) > 1)
 
 
 @pytest.mark.parametrize("g,n,count", [(0, 4, None), (1, 1, None), (2, 1, None)])
