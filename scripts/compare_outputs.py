@@ -22,7 +22,8 @@ from pathlib import Path
 ENTRY = "import sys; from mvq.cli import main; sys.exit(main())"
 
 # the six requests of the benchmark's workloads, then a wider sweep over the
-# catalog, both Siegel-Veech routes, statistics and the golden-table check
+# catalog, both Siegel-Veech routes, statistics and the golden-table check,
+# then correlators up to genus 6 and runs heavy on the string equation
 REQUESTS = (
     "volume 4 0",
     "volume 4 1 --per-cylinder",
@@ -38,6 +39,9 @@ REQUESTS = (
     "lyapunov 0 8",
     "pk 5 0",
     "check-all",
+    "volume 6 0 --per-cylinder",
+    "volume 1 7 --per-cylinder",
+    "sv 2 5 --method boundary",
 )
 
 

@@ -9,7 +9,7 @@ equations used to strip indices 0 and 1 first.  Everything is memoized on
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as _iproduct
+from itertools import groupby, product as _iproduct
 from math import comb, factorial
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -36,28 +36,33 @@ _cache: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
 
 
 def cached_keys():
-    """All (g, sorted d) keys computed so far (used by structural test suites)."""
+    """All (g, sorted d) keys computed so far; read by the structural tests
+    and by the benchmark's tracer (bench/tracer.py)."""
     return list(_cache.keys())
 
 
-def _submultisets(items: Tuple[Tuple[int, int], ...]):
-    """Yield (chosen multiset, complement multiset, count of labeled subsets)."""
-    ranges = [range(c + 1) for _, c in items]
-    for pick in _iproduct(*ranges):
+def _splits(S: Tuple[int, ...]):
+    """Yield (S1, S2, weight) for every way to split the sorted multiset S
+    into two, S1 and S2 sorted like S and weight the number of subsets of the
+    positions of S whose entries form S1."""
+    runs = [(x, len(list(run))) for x, run in groupby(S)]
+    for pick in _iproduct(*[range(c + 1) for _, c in runs]):
         weight = 1
-        chosen = []
-        rest = []
-        for (val, cnt), k in zip(items, pick):
-            weight *= comb(cnt, k)
-            chosen.extend([val] * k)
-            rest.extend([val] * (cnt - k))
-        yield tuple(chosen), tuple(rest), weight
+        left = right = ()
+        for (x, c), k in zip(runs, pick):
+            weight *= comb(c, k)
+            left += (x,) * k
+            right += (x,) * (c - k)
+        yield left, right, weight
 
 
-def _corr(g: int, d: Tuple[int, ...]) -> Fraction:
-    """d sorted descending.  Assumes (g, len(d)) stable and
-    sum(d) == 3g - 3 + len(d)."""
+def _corr(g: int, d: Iterable[int]) -> Fraction:
+    """<tau_d>_g, zero for unstable (g, n) or off the dimension constraint;
+    memoized on (g, d sorted descending)."""
+    d = tuple(sorted(d, reverse=True))
     n = len(d)
+    if not _stable(g, n) or sum(d) != 3 * g - 3 + n:
+        return _ZERO
     if g == 0 and n == 3:
         return Fraction(1)
     if g == 1 and n == 1:
@@ -66,87 +71,42 @@ def _corr(g: int, d: Tuple[int, ...]) -> Fraction:
     val = _cache.get(key)
     if val is not None:
         return val
-
-    if d[-1] == 0 and _stable(g, n - 1):
-        # string equation
+    # past (0, 3) and (1, 1), a tau_0 or tau_1 leaves a stable (g, n - 1)
+    if d[-1] == 0:  # string equation
         rest = d[:-1]
-        total = _ZERO
-        for j in range(len(rest)):
-            if rest[j] == 0:
-                continue
-            total += _corr_checked(g, rest[:j] + (rest[j] - 1,) + rest[j + 1 :])
-        _cache[key] = total
-        return total
-
-    if d[-1] == 1 and _stable(g, n - 1) and n >= 2:
-        # dilaton equation
-        total = (2 * g - 2 + (n - 1)) * _corr_checked(g, d[:-1])
-        _cache[key] = total
-        return total
-
-    # DVV recursion on the largest index
-    k = d[0]
-    rest = d[1:]
-    total = _ZERO
-    seen = set()
-    for j in range(len(rest)):
-        dj = rest[j]
-        if dj in seen:
-            continue
-        seen.add(dj)
-        mult = sum(1 for x in rest if x == dj)
-        merged = rest[:j] + (k + dj - 1,) + rest[j + 1 :]
-        total += (
-            mult
-            * Fraction(double_factorial(2 * (k + dj) - 1), double_factorial(2 * dj - 1))
-            * _corr_checked(g, merged)
-        )
-    if k >= 2:
-        groups = tuple(sorted({x: rest.count(x) for x in rest}.items()))
+        val = sum((_corr(g, rest[:j] + (x - 1,) + rest[j + 1 :])
+                   for j, x in enumerate(rest) if x), _ZERO)
+    elif d[-1] == 1:  # dilaton equation
+        val = (2 * g - 3 + n) * _corr(g, d[:-1])
+    else:  # DVV recursion on the largest index, here k >= 2
+        k, rest = d[0], d[1:]
+        val = _ZERO
+        for j, x in enumerate(rest):
+            val += (Fraction(double_factorial(2 * (k + x) - 1), double_factorial(2 * x - 1))
+                    * _corr(g, rest[:j] + (k + x - 1,) + rest[j + 1 :]))
         half = _ZERO
         for a in range(k - 1):
             b = k - 2 - a
-            w = double_factorial(2 * a + 1) * double_factorial(2 * b + 1)
-            term = _corr_checked(g - 1, rest + (a, b)) if g >= 1 else _ZERO
-            split = _ZERO
-            for left, right, weight in _submultisets(groups):
+            term = _corr(g - 1, rest + (a, b))
+            for left, right, weight in _splits(rest):
                 for g1 in range(g + 1):
-                    g2 = g - g1
-                    c1 = _corr_checked(g1, left + (a,))
-                    if c1 == 0:
-                        continue
-                    c2 = _corr_checked(g2, right + (b,))
-                    if c2 == 0:
-                        continue
-                    split += weight * c1 * c2
-            half += w * (term + split)
-        total += half / 2
-    total = total / double_factorial(2 * k + 1)
-    _cache[key] = total
-    return total
-
-
-def _corr_checked(g: int, d: Iterable[int]) -> Fraction:
-    d = tuple(sorted(d, reverse=True))
-    n = len(d)
-    if not _stable(g, n):
-        return _ZERO
-    if sum(d) != 3 * g - 3 + n:
-        return _ZERO
-    return _corr(g, d)
+                    c1 = _corr(g1, left + (a,))
+                    if c1:
+                        term += weight * c1 * _corr(g - g1, right + (b,))
+            half += double_factorial(2 * a + 1) * double_factorial(2 * b + 1) * term
+        val = (val + half / 2) / double_factorial(2 * k + 1)
+    _cache[key] = val
+    return val
 
 
 def correlator(g: int, d: Sequence[int]) -> Fraction:
     """Exact <tau_{d_1} ... tau_{d_n}>_g; zero off the dimension constraint."""
-    d = tuple(int(x) for x in d)
-    n = len(d)
+    d = [int(x) for x in d]
     if any(x < 0 for x in d):
         raise ValueError("negative exponent")
-    if not _stable(g, n):
-        raise ValueError("unstable (g, n) = (%d, %d)" % (g, n))
-    if sum(d) != 3 * g - 3 + n:
-        return Fraction(0)
-    return _corr(g, tuple(sorted(d, reverse=True)))
+    if not _stable(g, len(d)):
+        raise ValueError("unstable (g, n) = (%d, %d)" % (g, len(d)))
+    return _corr(g, d)
 
 
 def one_point_closed_form(g: int) -> Fraction:

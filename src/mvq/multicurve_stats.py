@@ -32,10 +32,15 @@ class Multicurve(NamedTuple):
             type(h) is not int for h in self.weights
         ):
             raise ValueError("weights must be a list of integers")
-        if len(self.weights) != self.graph.num_edges:
-            raise ValueError("need one weight per edge")
+        _check_edges(self.graph, self.weights, "weights")
         if any(h <= 0 for h in self.weights):
             raise ValueError("weights must be strictly positive")
+
+
+def _check_edges(graph: StableGraph, vec: Sequence, name: str) -> None:
+    """Raise ValueError unless vec has one entry per edge of graph."""
+    if len(vec) != graph.num_edges:
+        raise ValueError(f"{name} needs one entry per edge ({graph.num_edges}), got {len(vec)}")
 
 
 def const_gn(g: int, n: int) -> int:
@@ -45,6 +50,7 @@ def const_gn(g: int, n: int) -> int:
 def vol_multicurve(graph: StableGraph, weights: Sequence[int]) -> Fraction:
     """Contribution of a single multicurve: the graph polynomial with each
     monomial prod b_e^{m_e} replaced by prod m_e!/H_e^{m_e+1}."""
+    _check_edges(graph, weights, "weights")
     return op_Y(graph_polynomial(graph), weights)
 
 
@@ -53,8 +59,8 @@ def frequency(mc: Multicurve) -> Fraction:
     among simple closed hyperbolic multigeodesics."""
     mc.validate()
     g, n = mc.graph.genus, mc.graph.num_legs
-    if (g, n) == (0, 3):
-        raise ValueError("c(gamma) at (g, n) = (0, 3) is undefined: its only graph has no edge")
+    if not mc.graph.edges:
+        raise ValueError(f"c(gamma) at (g, n) = ({g}, {n}) is undefined: the graph has no edge")
     return vol_multicurve(mc.graph, mc.weights) / const_gn(g, n)
 
 
@@ -158,6 +164,9 @@ def expectation_ratio(
 
     if not graph.edges:
         raise ValueError(_NO_EDGE)
+    for name, vec in (("num", num), ("den", den), ("H", H)):
+        if vec is not None:
+            _check_edges(graph, vec, name)
     poly = graph_polynomial(graph)
     shifted = _shift_poly(poly, num, den)
     if H is not None:
@@ -181,6 +190,8 @@ def prob_heights(
     ValueError on a graph with no edge, as ``expectation_ratio`` does."""
     if not graph.edges:
         raise ValueError(_NO_EDGE)
+    if exact is not None:
+        _check_edges(graph, exact, "exact")
     poly = graph_polynomial(graph)
     z = op_Z(poly)
     if exact is not None:
@@ -198,5 +209,6 @@ def ztilde_integral(graph: StableGraph, H: Sequence[int]) -> Fraction:
     """Exact integral of the density over the simplex: equals op_Y(H, P)/d!
     with d = 6g-6+2n, the homogeneity degree plus the number of edges
     (Dirichlet integral, monomial by monomial)."""
+    _check_edges(graph, H, "H")
     d = 6 * graph.genus - 6 + 2 * graph.num_legs
     return op_Y(graph_polynomial(graph), H) / factorial(d)

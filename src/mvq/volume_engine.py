@@ -15,7 +15,7 @@ from itertools import chain, compress
 from math import gcd, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
-from .correlators import _submultisets, correlator
+from .correlators import _splits, correlator
 from .exact_arith import ExactnessError, PiRational, factorial, zeta_even
 from .stable_graphs import CatalogEntry, StableGraph, aut_order, enumerate_graphs
 
@@ -254,8 +254,7 @@ def _wick(g: int, S: Tuple[int, ...]) -> Vector:
         _add(sums, den, 1, vec, 1)
     # the split sum is symmetric under swapping the ends of the marked edge,
     # so it runs over one end of each swapped pair and counts it twice
-    groups = tuple(sorted({x: S.count(x) for x in S}.items()))
-    for S1, S2, weight in _submultisets(groups):
+    for S1, S2, weight in _splits(S):
         for g1 in range(g + 1):
             g2 = g - g1
             # an unstable side has no graph, and recursing into it never ends

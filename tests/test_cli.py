@@ -308,6 +308,18 @@ class TestBoundary:
             err = self.assert_rejected(capsys, *json_flag, "freq", "--multicurve", str(path))
             assert "(0, 3)" in err
 
+    # an edgeless graph of a stable (g, n) other than (0, 3) carries no
+    # multicurve either
+    @pytest.mark.parametrize("genus,legs,gn", [(2, 0, "(2, 0)"), (0, 4, "(0, 4)")])
+    def test_freq_rejects_graph_without_edges(self, capsys, tmp_path, genus, legs, gn):
+        path = tmp_path / "mc.json"
+        doc = {"vertices": [{"genus": genus}], "edges": [],
+               "legs": [{"vertex": 0, "label": l} for l in range(1, legs + 1)]}
+        path.write_text(json.dumps(doc))
+        for json_flag in ((), ("--json",)):
+            err = self.assert_rejected(capsys, *json_flag, "freq", "--multicurve", str(path))
+            assert gn in err
+
 
 class TestGraphsAndChecks:
     def test_graphs_listing(self, capsys):

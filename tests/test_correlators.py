@@ -1,5 +1,8 @@
 """Tests for psi-class intersection-number correlators."""
+import hashlib
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,8 @@ from mvq.correlators import (
     normalized_bracket,
     one_point_closed_form,
 )
+from mvq import correlators
+from mvq.correlators import _splits
 
 
 class TestKnownValues:
@@ -74,6 +79,66 @@ def _dilaton_equation_holds(g, d):
     lhs = _corr(g, (1,) + d)
     rhs = (2 * g - 2 + len(d)) * _corr(g, d)
     return lhs == rhs
+
+
+def _table_digest(max_g, max_n):
+    """SHA-256 of the lines "g d value", d ascending, over every correlator
+    on the dimension constraint (all nonzero) with g <= max_g and
+    1 <= n <= max_n, and the number of lines."""
+    lines = []
+    for g in range(max_g + 1):
+        for n in range(1, max_n + 1):
+            if 2 * g - 2 + n <= 0:
+                continue
+            D = 3 * g - 3 + n
+            for d in combinations_with_replacement(range(D + 1), n):
+                if sum(d) == D:
+                    lines.append("%d %s %s\n" % (g, ",".join(map(str, d)), correlator(g, d)))
+    return hashlib.sha256("".join(lines).encode()).hexdigest(), len(lines)
+
+
+class TestTable:
+    def test_table_up_to_genus_six_and_five_points(self):
+        # filled from a cold memo, which is restored afterwards
+        saved = dict(correlators._cache)
+        correlators._cache.clear()
+        try:
+            digest = _table_digest(6, 5)
+            keys = len(cached_keys())
+        finally:
+            correlators._cache.update(saved)
+        assert digest == (
+            "ac519d2731dcf903bcc5959345712cff4b60b7ba43917f9a738db7597217485a",
+            827,
+        )
+        assert keys == 915
+
+
+class TestSplits:
+    def test_splits_match_index_subsets(self):
+        # for each sorted S, the weight of (S1, S2) counts the subsets of
+        # positions of S whose entries, sorted, are S1
+        for size in range(7):
+            for S in combinations_with_replacement(range(3), size):
+                brute = Counter()
+                for r in range(size + 1):
+                    for idx in combinations(range(size), r):
+                        brute[tuple(S[i] for i in idx)] += 1
+                got = list(_splits(S))
+                assert len({S1 for S1, _, _ in got}) == len(got)
+                assert {S1: w for S1, _, w in got} == dict(brute)
+                for S1, S2, _ in got:
+                    assert S2 == tuple(sorted((Counter(S) - Counter(S1)).elements()))
+
+    def test_splits_keep_descending_order(self):
+        assert sorted(_splits((2, 1, 1))) == [
+            ((), (2, 1, 1), 1),
+            ((1,), (2, 1), 2),
+            ((1, 1), (2,), 1),
+            ((2,), (1, 1), 1),
+            ((2, 1), (1,), 2),
+            ((2, 1, 1), (), 1),
+        ]
 
 
 class TestStringDilaton:

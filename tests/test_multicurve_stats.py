@@ -152,6 +152,33 @@ class TestHeightLaws:
                     prob_heights(graph, **kwargs)
 
 
+class TestEdgeVectors:
+    """Every per-edge vector has one entry per edge of the graph."""
+
+    def test_prob_heights(self):
+        assert prob_heights(TWO_LOOPS, exact=(2, 2)) == PiRational(Fraction(135, 16), -6)
+        for exact in ((2,), (2, 2, 5)):
+            with pytest.raises(ValueError, match="one entry per edge"):
+                prob_heights(TWO_LOOPS, exact=exact)
+
+    def test_ztilde_integral(self):
+        assert ztilde_integral(TWO_LOOPS, (2, 2)) == Fraction(1, 2400)
+        with pytest.raises(ValueError, match="one entry per edge"):
+            ztilde_integral(TWO_LOOPS, (2,))
+
+    def test_vol_multicurve(self):
+        assert vol_multicurve(TWO_LOOPS, (3, 3)) == Fraction(32, 1215)
+        with pytest.raises(ValueError, match="one entry per edge"):
+            vol_multicurve(TWO_LOOPS, (3,))
+
+    def test_expectation_ratio(self):
+        assert expectation_ratio(TWO_LOOPS, (1, 0), (0, 0), (1, 2)) == Fraction(18, 5)
+        for num, den, H in (((1,), (0, 0), (1, 2)), ((1, 0), (0,), (1, 2)),
+                            ((1, 0), (0, 0), (1,))):
+            with pytest.raises(ValueError, match="one entry per edge"):
+                expectation_ratio(TWO_LOOPS, num, den, H)
+
+
 class TestExpectations:
     def test_conditional_on_heights_symbolic(self):
         H1, H2 = sympy.symbols("H1 H2", positive=True)
