@@ -7,23 +7,31 @@ Every request of the fixed list below runs once in each tree, the two sides
 side by side, as a fresh ``python -c 'from mvq.cli import main; ...'`` with
 that tree's ``src`` on ``PYTHONPATH``.  A line per request prints ``same`` or
 ``DIFF`` with the exit code and the SHA-256 of the standard output of each
-side.  The script exits 1 if any request differs in output or exit code.
+side.  A request that reads a graph file names it by its key in ``GRAPHS``
+in braces, such as ``{phi}``; those files are written to a temporary
+directory first.  The script exits 1 if any request differs in output or
+exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ENTRY = "import sys; from mvq.cli import main; sys.exit(main())"
 
 # the six requests of the benchmark's workloads, then a wider sweep over the
 # catalog, both Siegel-Veech routes, statistics and the golden-table check,
-# then correlators up to genus 6 and runs heavy on the string equation
+# then correlators up to genus 6 and runs heavy on the string equation, then
+# the large-genus layer and the statistics that read a graph file: a value,
+# a divergent expectation, one given heights, and a negative exponent after
+# the shift (exit 2)
 REQUESTS = (
     "volume 4 0",
     "volume 4 1 --per-cylinder",
@@ -42,13 +50,34 @@ REQUESTS = (
     "volume 6 0 --per-cylinder",
     "volume 1 7 --per-cylinder",
     "sv 2 5 --method boundary",
+    "harmonic H 3 40",
+    "harmonic Z 3 20",
+    "harmonic Z 0 0",
+    "agk 6",
+    "sep-ratio 5",
+    "poisson 4",
+    "freq --multicurve {phi}",
+    "expect --graph {phi} --num 1,0 --den 0,1",
+    "expect --graph {phi} --num 0,1 --den 1,0",
+    "expect --graph {two_loops} --num 1,0 --den 0,1 --heights 1,2",
+    "expect --graph {two_loops} --num 0,0 --den 9,9",
 )
 
+GRAPHS = {
+    "phi": {
+        "vertices": [{"genus": 0}, {"genus": 1}],
+        "edges": [[0, 0], [0, 1]],
+        "legs": [],
+        "weights": [1, 2],
+    },
+    "two_loops": {"vertices": [{"genus": 0}], "edges": [[0, 0], [0, 0]], "legs": []},
+}
 
-def start(tree: Path, request: str) -> subprocess.Popen:
+
+def start(tree: Path, argv: list) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.Popen(
-        [sys.executable, "-c", ENTRY, "--json", *request.split()],
+        [sys.executable, "-c", ENTRY, "--json", *argv],
         cwd=tree, env=env, stdin=subprocess.DEVNULL,
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
     )
@@ -65,16 +94,22 @@ def main(argv=None) -> int:
             parser.error(f"no mvq sources under {tree}")
 
     differ = 0
-    for request in REQUESTS:
-        procs = [start(tree, request) for tree in trees]
-        sides = []
-        for proc in procs:
-            out, _ = proc.communicate()
-            sides.append((proc.returncode, hashlib.sha256(out).hexdigest()))
-        same = sides[0] == sides[1]
-        differ += not same
-        cells = "  ".join("exit %d sha256 %s" % side for side in sides)
-        print("%-4s %-28s %s" % ("same" if same else "DIFF", request, cells), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in GRAPHS.items():
+            paths[name] = Path(tmp) / f"{name}.json"
+            paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        for request in REQUESTS:
+            argv = [word.format(**paths) for word in request.split()]
+            procs = [start(tree, argv) for tree in trees]
+            sides = []
+            for proc in procs:
+                out, _ = proc.communicate()
+                sides.append((proc.returncode, hashlib.sha256(out).hexdigest()))
+            same = sides[0] == sides[1]
+            differ += not same
+            cells = "  ".join("exit %d sha256 %s" % side for side in sides)
+            print("%-4s %-62s %s" % ("same" if same else "DIFF", request, cells), flush=True)
     print("%d of %d requests differ" % (differ, len(REQUESTS)))
     return 1 if differ else 0
 

@@ -18,6 +18,7 @@ from .volume_engine import (
 )
 from .siegel_veech import c_area_boundary, c_area_graphsum, lyapunov_sum_plus
 from .multicurve_stats import (
+    IndeterminateError,
     Multicurve,
     b_gn,
     cylinder_distribution,

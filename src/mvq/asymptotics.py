@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
-from .correlators import correlator
+from .correlators import bracket_factor, epsilon_d, max_bracket
 from .exact_arith import (
     PiRational,
     binomial,
@@ -73,32 +73,15 @@ def agk_by_recursion(g: int) -> AgkSequence:
 
 
 def agk_from_correlators(g: int) -> AgkSequence:
-    """Same sequence computed directly from 2-point intersection numbers."""
-    vals = []
-    for k in range(3 * g):
-        c = correlator(g, (k, 3 * g - 1 - k))
-        vals.append(
-            Fraction(
-                double_factorial(2 * k + 1) * double_factorial(6 * g - 1 - 2 * k),
-                double_factorial(6 * g - 1),
-            )
-            * 24 ** g
-            * factorial(g)
-            * c
-        )
-    return AgkSequence(g, tuple(vals))
+    """Same sequence computed directly from 2-point intersection numbers:
+    a_{g,k} = [tau_k tau_{3g-1-k}]_g / [tau_0 tau_{3g-1}]_g = 1 + epsilon_d."""
+    return AgkSequence(g, tuple(1 + epsilon_d(g, (k, 3 * g - 1 - k)) for k in range(3 * g)))
 
 
 def two_point_correlator(g: int, k: int) -> Fraction:
     """<tau_k tau_{3g-1-k}>_g recovered from the a_{g,k} recursion."""
     a = agk_by_recursion(g).values[k]
-    return a * Fraction(
-        double_factorial(6 * g - 1),
-        double_factorial(2 * k + 1)
-        * double_factorial(6 * g - 1 - 2 * k)
-        * 24 ** g
-        * factorial(g),
-    )
+    return a * max_bracket(g, 2) / bracket_factor(g, (k, 3 * g - 1 - k))
 
 
 def rpq(g: int, j: int) -> Tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
@@ -190,33 +173,35 @@ def vol_gamma_k(g: int, k: int) -> PiRational:
 # multiple harmonic sums
 
 @lru_cache(maxsize=None)
-def harmonic_H(k: int, m: int) -> Fraction:
-    """H_k(m) = sum over j_1+...+j_k = m, j_i >= 1, of prod 1/j_i (exact)."""
+def _compositions(part: Callable[[int], Fraction], k: int, m: int) -> Fraction:
+    """Sum over j_1+...+j_k = m, j_i >= 1, of prod part(j_i) (exact)."""
     if k < 0 or m < 0:
         raise ValueError("k and m must be nonnegative")
-    if k < 1 or m < k:
-        return Fraction(0) if m != 0 or k != 0 else Fraction(1)
-    if k == 1:
-        return Fraction(1, m)
-    return sum(
-        harmonic_H(k - 1, m - j) / j for j in range(1, m - k + 2)
-    )
+    if k == 0:
+        return Fraction(m == 0)
+    total = Fraction(0)
+    for j in range(1, m - k + 2):  # no generator: one nested call less per level
+        total += part(j) * _compositions(part, k - 1, m - j)
+    return total
 
 
-@lru_cache(maxsize=None)
+def _harmonic_part(j: int) -> Fraction:
+    return Fraction(1, j)
+
+
+def _zeta_part(j: int) -> Fraction:
+    return zeta_even(2 * j).rational(2 * j) / j
+
+
+def harmonic_H(k: int, m: int) -> Fraction:
+    """H_k(m) = sum over j_1+...+j_k = m, j_i >= 1, of prod 1/j_i (exact)."""
+    return _compositions(_harmonic_part, k, m)
+
+
 def harmonic_Z(k: int, m: int) -> PiRational:
     """Z_k(m) = sum over j_1+...+j_k = m of prod zeta(2 j_i)/j_i (exact,
     a rational multiple of pi^(2m))."""
-    if k < 0 or m < 0:
-        raise ValueError("k and m must be nonnegative")
-    if k < 1 or m < k:
-        return PiRational.zero() if m != 0 or k != 0 else PiRational(1, 0)
-    if k == 1:
-        return zeta_even(2 * m) / m
-    total = PiRational.zero()
-    for j in range(1, m - k + 2):
-        total = total + (zeta_even(2 * j) / j) * harmonic_Z(k - 1, m - j)
-    return total
+    return PiRational(_compositions(_zeta_part, k, m), 2 * m)
 
 
 def _conv_powers(values: List[float], k: int, m: int) -> float:

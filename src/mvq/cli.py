@@ -2,7 +2,8 @@
 
 Every subcommand prints deterministic UTF-8 text; ``--json`` switches to a
 stable JSON schema.  Exit status: 0 on success, 1 for invalid input, 2 for
-requests outside a formula's hypotheses.
+requests outside a formula's hypotheses (an empty stratum, or an
+``IndeterminateError``).
 """
 
 from __future__ import annotations
@@ -147,18 +148,7 @@ def cmd_expect(args) -> int:
     num = _parse_ints(args.num)
     den = _parse_ints(args.den)
     H = _parse_ints(args.heights) if args.heights else None
-    for flag, vec in (("--num", num), ("--den", den), ("--heights", H)):
-        if vec is not None and len(vec) != graph.num_edges:
-            raise ValueError(
-                f"{flag} needs one entry per edge ({graph.num_edges}), got {len(vec)}"
-            )
-    if H is not None and any(h <= 0 for h in H):
-        raise ValueError("--heights must be positive")
-    try:
-        val = multicurve_stats.expectation_ratio(graph, num, den, H)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    val = multicurve_stats.expectation_ratio(graph, num, den, H)
     import sympy
 
     if val is sympy.oo:
@@ -464,7 +454,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, multicurve_stats.IndeterminateError) else 1
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .exact_arith import double_factorial
 __all__ = [
     "correlator",
     "one_point_closed_form",
+    "bracket_factor",
     "normalized_bracket",
     "max_bracket",
     "epsilon_d",
@@ -116,14 +117,18 @@ def one_point_closed_form(g: int) -> Fraction:
     return Fraction(1, 24 ** g * factorial(g))
 
 
-def normalized_bracket(g: int, d: Sequence[int]) -> Fraction:
-    """[tau_{d_1} ... tau_{d_n}] = 2^{3g-3+n} prod (2d_i+1)!/d_i! * <tau_d>."""
-    d = tuple(int(x) for x in d)
-    n = len(d)
-    pref = Fraction(2 ** (3 * g - 3 + n))
+def bracket_factor(g: int, d: Sequence[int]) -> int:
+    """2^{3g-3+n} prod (2d_i+1)!/d_i!, the factor from <tau_d>_g to [tau_d]."""
+    factor = 2 ** (3 * g - 3 + len(d))
     for x in d:
-        pref *= Fraction(factorial(2 * x + 1), factorial(x))
-    return pref * correlator(g, d)
+        factor *= factorial(2 * x + 1) // factorial(x)
+    return factor
+
+
+def normalized_bracket(g: int, d: Sequence[int]) -> Fraction:
+    """[tau_{d_1} ... tau_{d_n}] = bracket_factor(g, d) * <tau_d>."""
+    d = tuple(int(x) for x in d)
+    return correlator(g, d) * bracket_factor(g, d)
 
 
 def max_bracket(g: int, n: int) -> Fraction:

@@ -28,19 +28,29 @@ class Multicurve(NamedTuple):
     weights: Tuple[int, ...]
 
     def validate(self) -> None:
-        if not isinstance(self.weights, (list, tuple)) or any(
-            type(h) is not int for h in self.weights
-        ):
-            raise ValueError("weights must be a list of integers")
-        _check_edges(self.graph, self.weights, "weights")
-        if any(h <= 0 for h in self.weights):
-            raise ValueError("weights must be strictly positive")
+        _check_heights(self.graph, self.weights, "weights")
+
+
+class IndeterminateError(ValueError):
+    """The requested ratio is indeterminate: 0/0 on a graph with no edge, a
+    sum of convergent and divergent series, or a negative exponent after the
+    shift.  ``mvq`` exits 2 on it, where other ValueErrors exit 1."""
 
 
 def _check_edges(graph: StableGraph, vec: Sequence, name: str) -> None:
     """Raise ValueError unless vec has one entry per edge of graph."""
     if len(vec) != graph.num_edges:
         raise ValueError(f"{name} needs one entry per edge ({graph.num_edges}), got {len(vec)}")
+
+
+def _check_heights(graph: StableGraph, H: Sequence, name: str, symbolic=()) -> None:
+    """Raise ValueError unless H is a list or tuple of one positive int (not
+    bool, not float) per edge of graph; entries of a ``symbolic`` type pass."""
+    if not isinstance(H, (list, tuple)) or any(
+        not isinstance(h, symbolic) and (type(h) is not int or h <= 0) for h in H
+    ):
+        raise ValueError(f"{name} must be a list of positive integers")
+    _check_edges(graph, H, name)
 
 
 def const_gn(g: int, n: int) -> int:
@@ -50,7 +60,7 @@ def const_gn(g: int, n: int) -> int:
 def vol_multicurve(graph: StableGraph, weights: Sequence[int]) -> Fraction:
     """Contribution of a single multicurve: the graph polynomial with each
     monomial prod b_e^{m_e} replaced by prod m_e!/H_e^{m_e+1}."""
-    _check_edges(graph, weights, "weights")
+    _check_heights(graph, weights, "weights")
     return op_Y(graph_polynomial(graph), weights)
 
 
@@ -120,7 +130,7 @@ def _shift_poly(poly: Poly, num: Sequence[int], den: Sequence[int]) -> Poly:
     for expo, coeff in poly.items():
         shifted = tuple(m + a - b for m, a, b in zip(expo, num, den))
         if any(m < 0 for m in shifted):
-            raise ValueError("negative exponent after shift")
+            raise IndeterminateError("negative exponent after shift")
         out[shifted] = out.get(shifted, Fraction(0)) + coeff
     return out
 
@@ -134,7 +144,7 @@ def _op_Z_symbolic(poly: Poly) -> sympy.Expr:
     if any(divergent):
         if all(divergent):
             return sympy.oo
-        raise ValueError("indeterminate: mixed convergent and divergent terms")
+        raise IndeterminateError("indeterminate: mixed convergent and divergent terms")
     total = sympy.Integer(0)
     for expo, coeff in poly.items():
         term = sympy.Rational(coeff.numerator, coeff.denominator)
@@ -159,14 +169,15 @@ def expectation_ratio(
     With numeric H the result is an exact Fraction; with sympy-symbol entries
     in H it is a symbolic expression; without H it is a symbolic expression in
     even/odd zeta values, or sympy.oo in the divergent case.  Raises
-    ValueError on a graph with no edge, where the ratio is 0/0."""
+    IndeterminateError on a graph with no edge, where the ratio is 0/0."""
     import sympy
 
+    _check_edges(graph, num, "num")
+    _check_edges(graph, den, "den")
+    if H is not None:
+        _check_heights(graph, H, "H", symbolic=sympy.Basic)
     if not graph.edges:
-        raise ValueError(_NO_EDGE)
-    for name, vec in (("num", num), ("den", den), ("H", H)):
-        if vec is not None:
-            _check_edges(graph, vec, name)
+        raise IndeterminateError(_NO_EDGE)
     poly = graph_polynomial(graph)
     shifted = _shift_poly(poly, num, den)
     if H is not None:
@@ -187,11 +198,11 @@ def prob_heights(
 ) -> PiRational:
     """Probability that the cylinder heights of a random square-tiled surface
     of type ``graph`` equal ``exact``, or are all at most ``bound``.  Raises
-    ValueError on a graph with no edge, as ``expectation_ratio`` does."""
-    if not graph.edges:
-        raise ValueError(_NO_EDGE)
+    IndeterminateError on a graph with no edge, as ``expectation_ratio`` does."""
     if exact is not None:
-        _check_edges(graph, exact, "exact")
+        _check_heights(graph, exact, "exact")
+    if not graph.edges:
+        raise IndeterminateError(_NO_EDGE)
     poly = graph_polynomial(graph)
     z = op_Z(poly)
     if exact is not None:
@@ -209,6 +220,5 @@ def ztilde_integral(graph: StableGraph, H: Sequence[int]) -> Fraction:
     """Exact integral of the density over the simplex: equals op_Y(H, P)/d!
     with d = 6g-6+2n, the homogeneity degree plus the number of edges
     (Dirichlet integral, monomial by monomial)."""
-    _check_edges(graph, H, "H")
     d = 6 * graph.genus - 6 + 2 * graph.num_legs
-    return op_Y(graph_polynomial(graph), H) / factorial(d)
+    return vol_multicurve(graph, H) / factorial(d)

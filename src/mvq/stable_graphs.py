@@ -298,12 +298,10 @@ def _is_largest_edge(graph: StableGraph, edge: Edge) -> bool:
 def unlabeled_graphs(g: int, n: int) -> Tuple[CatalogEntry, ...]:
     """Like ``enumerate_graphs``, but with unlabeled legs: ``legs`` is sorted
     and |Aut| also permutes the legs at each vertex, so n! times the sum of
-    1/|Aut| is the labeled sum.  At n <= 1 it is ``enumerate_graphs(g, n)``."""
-    return enumerate_graphs(g, n) if n <= 1 else _degeneration_walk(g, n)
+    1/|Aut| is the labeled sum.  At n <= 1 labels change nothing, and
+    ``enumerate_graphs(g, n)`` returns this catalog as it is.
 
-
-def _degeneration_walk(g: int, n: int) -> Tuple[CatalogEntry, ...]:
-    """Level k holds the graphs with k edges.  Contracting a largest-colored
+    Level k holds the graphs with k edges.  Contracting a largest-colored
     edge of such a graph gives a graph of level k - 1, so every class of
     level k is a degeneration of a level k - 1 representative whose new edge
     is largest-colored; only those children are canonicalized."""
@@ -332,7 +330,7 @@ def enumerate_graphs(g: int, n: int) -> Tuple[CatalogEntry, ...]:
     Past n = 1 each graph of ``unlabeled_graphs(g, n)`` is expanded into its
     leg labelings, which are canonicalized with labels and deduplicated."""
     if n <= 1:
-        return _degeneration_walk(g, n)
+        return unlabeled_graphs(g, n)
     seen: Dict[bytes, CatalogEntry] = {}
     for entry in unlabeled_graphs(g, n):
         genera, edges, legs = entry.graph

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,35 @@ class TestHarmonicSums:
         eps_h, eps_z = expansion_residual(1, m)
         assert abs(eps_h) < 10 / m
         assert abs(eps_z) < 10 / m
+
+
+    def test_shared_recursion_matches_separate_recursions(self):
+        for k in range(5):
+            for m in range(31):
+                assert harmonic_H(k, m) == _reference_H(k, m), (k, m)
+                assert harmonic_Z(k, m) == _reference_Z(k, m), (k, m)
+
+
+# the separate recursions that the one composition sum replaced
+@lru_cache(maxsize=None)
+def _reference_H(k, m):
+    if k < 1 or m < k:
+        return Fraction(0) if m != 0 or k != 0 else Fraction(1)
+    if k == 1:
+        return Fraction(1, m)
+    return sum(_reference_H(k - 1, m - j) / j for j in range(1, m - k + 2))
+
+
+@lru_cache(maxsize=None)
+def _reference_Z(k, m):
+    if k < 1 or m < k:
+        return PiRational.zero() if m != 0 or k != 0 else PiRational(1, 0)
+    if k == 1:
+        return zeta_even(2 * m) / m
+    total = PiRational.zero()
+    for j in range(1, m - k + 2):
+        total = total + (zeta_even(2 * j) / j) * _reference_Z(k - 1, m - j)
+    return total
 
 
 class TestSeriesExpansions:

@@ -280,6 +280,26 @@ class TestBoundary:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_expect_checks_lengths_before_the_missing_edge(self, capsys, tmp_path):
+        # a wrong-length vector is bad input even where the ratio is 0/0
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": [{"genus": 2}], "edges": [], "legs": []}))
+        graph = ("expect", "--graph", str(path))
+        self.assert_rejected(capsys, *graph, "--num", "1", "--den", "")
+        self.assert_rejected(capsys, *graph, "--num", "", "--den", "", "--heights", "1")
+
+    @pytest.mark.parametrize("num,den", [("1,0", "0,1"), ("0,0", "9,9")])
+    def test_expect_indeterminate_series_exit_two(self, capsys, tmp_path, num, den):
+        # a sum of convergent and divergent series, and a negative exponent
+        # after the shift
+        path = tmp_path / "graph.json"
+        doc = {"vertices": [{"genus": 0}], "edges": [[0, 0], [0, 0]], "legs": []}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "expect", "--graph", str(path), "--num", num, "--den", den)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_freq_rejects_malformed_graph_files(self, capsys, tmp_path):
         path = tmp_path / "mc.json"
         g0, g1 = {"genus": 0}, {"genus": 1}

@@ -179,6 +179,30 @@ class TestEdgeVectors:
                 expectation_ratio(TWO_LOOPS, num, den, H)
 
 
+# heights for the two edges of TWO_LOOPS that are not one positive int per
+# edge; unchecked, (-1, 1) gave the value of (1, 1), 0 a bare
+# ZeroDivisionError and 1.5 a float
+BAD_HEIGHTS = [(0, 1), (-1, 1), (1.5, 1), (True, 1), (1,), (1, 1, 1)]
+
+HEIGHT_TAKERS = {
+    "validate": lambda H: Multicurve(TWO_LOOPS, H).validate(),
+    "vol_multicurve": lambda H: vol_multicurve(TWO_LOOPS, H),
+    "prob_heights": lambda H: prob_heights(TWO_LOOPS, exact=H),
+    "ztilde_integral": lambda H: ztilde_integral(TWO_LOOPS, H),
+    "expectation_ratio": lambda H: expectation_ratio(TWO_LOOPS, (1, 0), (0, 1), H),
+}
+
+
+class TestHeightChecks:
+    @pytest.mark.parametrize("name", sorted(HEIGHT_TAKERS))
+    def test_bad_heights_rejected(self, name):
+        for H in BAD_HEIGHTS:
+            with pytest.raises(ValueError) as info:
+                HEIGHT_TAKERS[name](H)
+            # bad input, not an indeterminate ratio
+            assert type(info.value) is ValueError, (H, info.value)
+
+
 class TestExpectations:
     def test_conditional_on_heights_symbolic(self):
         H1, H2 = sympy.symbols("H1 H2", positive=True)

@@ -66,7 +66,7 @@ class TestCatalogCounts:
         monkeypatch.setattr(stable_graphs, "_canonicalize", counted)
         for g, n in ((4, 0), (4, 1)):
             calls[0] = 0
-            catalog = enumerate_graphs.__wrapped__(g, n)
+            catalog = unlabeled_graphs.__wrapped__(g, n)
             assert calls[0] <= 2 * len(catalog), (g, n, calls[0])
 
     def test_edgeless_graph_present(self):
@@ -172,7 +172,7 @@ def _walked_graphs(monkeypatch, g, n):
         return canonicalize(graph, *args)
 
     monkeypatch.setattr(stable_graphs, "_canonicalize", recorded)
-    stable_graphs._degeneration_walk(g, n)
+    unlabeled_graphs.__wrapped__(g, n)
     monkeypatch.undo()
     return seen
 
