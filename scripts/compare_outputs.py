@@ -31,7 +31,8 @@ ENTRY = "import sys; from mvq.cli import main; sys.exit(main())"
 # then correlators up to genus 6 and runs heavy on the string equation, then
 # the large-genus layer and the statistics that read a graph file: a value,
 # a divergent expectation, one given heights, and a negative exponent after
-# the shift (exit 2)
+# the shift (exit 2), then harmonic sums at larger k and m, up to the last
+# pi power whose float alone stays finite (Z_1(300), pi^600)
 REQUESTS = (
     "volume 4 0",
     "volume 4 1 --per-cylinder",
@@ -61,6 +62,11 @@ REQUESTS = (
     "expect --graph {phi} --num 0,1 --den 1,0",
     "expect --graph {two_loops} --num 1,0 --den 0,1 --heights 1,2",
     "expect --graph {two_loops} --num 0,0 --den 9,9",
+    "harmonic H 60 63",
+    "harmonic Z 60 63",
+    "harmonic H 3 300",
+    "harmonic Z 2 80",
+    "harmonic Z 1 300",
 )
 
 GRAPHS = {

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from .correlators import bracket_factor, epsilon_d, max_bracket
 from .exact_arith import (
@@ -171,64 +171,98 @@ def vol_gamma_k(g: int, k: int) -> PiRational:
 
 # ---------------------------------------------------------------------------
 # multiple harmonic sums
+#
+# sum_m H_k(m) x^m = (-log(1-x))^k = k! sum_m |s(m,k)| x^m / m!, with s the
+# Stirling numbers of the first kind, and sum_m Z_k(m) x^m = L^k with
+# L = sum_j zeta(2j) x^j / j.  Both are computed by loops, not recursion.
 
-@lru_cache(maxsize=None)
-def _compositions(part: Callable[[int], Fraction], k: int, m: int) -> Fraction:
-    """Sum over j_1+...+j_k = m, j_i >= 1, of prod part(j_i) (exact)."""
+def _check(k: int, m: int) -> None:
     if k < 0 or m < 0:
         raise ValueError("k and m must be nonnegative")
-    if k == 0:
-        return Fraction(m == 0)
-    total = Fraction(0)
-    for j in range(1, m - k + 2):  # no generator: one nested call less per level
-        total += part(j) * _compositions(part, k - 1, m - j)
-    return total
 
 
-def _harmonic_part(j: int) -> Fraction:
-    return Fraction(1, j)
+def _stirling_rows(k: int, m: int) -> Iterator[List[int]]:
+    """Yield the rows n = 0..m of |s(n, r)| (entry r, for r <= k), one list
+    updated in place by |s(n+1, r)| = n |s(n, r)| + |s(n, r-1)|.  Only the
+    entries from which (m, k) can still be reached are kept up to date."""
+    row = [1] + [0] * (k + 1)  # the trailing 0 is |s(n, -1)|, read as row[-1]
+    yield row
+    for n in range(m):
+        # top down, so that row[r - 1] still holds |s(n, r - 1)|
+        for r in range(min(n + 1, k), max(k - (m - n - 1), 0) - 1, -1):
+            row[r] = n * row[r] + row[r - 1]
+        yield row
 
 
-def _zeta_part(j: int) -> Fraction:
-    return zeta_even(2 * j).rational(2 * j) / j
+def _series_powers(c: List, k: int, span: int) -> List[List]:
+    """rows[i][s] = [x^(i+s)] f^i for i = 0..k and s < span, where
+    f = sum_u c[u] x^(u+1); a row stops at the last degree f^i reaches."""
+    rows = [[1]]
+    for _ in range(k):
+        prev = rows[-1]
+        rows.append([
+            sum(c[u] * prev[s - u]
+                for u in range(max(s - len(prev) + 1, 0), min(s + 1, len(c))))
+            for s in range(min(len(prev) + len(c) - 1, span))
+        ])
+    return rows
 
 
 def harmonic_H(k: int, m: int) -> Fraction:
-    """H_k(m) = sum over j_1+...+j_k = m, j_i >= 1, of prod 1/j_i (exact)."""
-    return _compositions(_harmonic_part, k, m)
+    """H_k(m) = sum over j_1+...+j_k = m, j_i >= 1, of prod 1/j_i (exact),
+    which is k! |s(m, k)| / m!."""
+    _check(k, m)
+    *_, row = _stirling_rows(k, m)
+    return Fraction(factorial(k) * row[k], factorial(m))
 
 
 def harmonic_Z(k: int, m: int) -> PiRational:
     """Z_k(m) = sum over j_1+...+j_k = m of prod zeta(2 j_i)/j_i (exact,
     a rational multiple of pi^(2m))."""
-    return PiRational(_compositions(_zeta_part, k, m), 2 * m)
+    _check(k, m)
+    if not 0 < k <= m:
+        return PiRational(int(k == m))
+    span = m - k + 1
+    c = [zeta_even(2 * j).rational(2 * j) / j for j in range(1, span + 1)]
+    # the last factor is needed at degree m alone
+    prev = _series_powers(c, k - 1, span)[-1]
+    total = sum(c[u] * prev[span - 1 - u] for u in range(span - len(prev), span))
+    return PiRational(total, 2 * m)
 
 
-def _conv_powers(values: List[float], k: int, m: int) -> float:
-    import numpy as np
-
-    acc = vec = np.array(values)
-    for _ in range(k - 1):
-        acc = np.convolve(acc, vec)[: m + 1]
-    return float(acc[m])
+def _float_sums(k: int, m: int) -> Tuple[float, float]:
+    """(H_k(m), Z_k(m)) in floats from one pass over the Stirling rows.
+    L = -log(1-x) + delta(x) with delta_j = (zeta(2j) - 1)/j, so
+    Z_k(m) = sum_i C(k, i) sum_t delta^i[t] H_{k-i}(m-t)."""
+    _check(k, m)
+    if k > m:
+        return 0.0, 0.0
+    first = max(m - 28 * k, 0)
+    h = {}  # h[n, r] = H_r(n) for the (n, r) that reach (m, k)
+    for n, row in enumerate(_stirling_rows(k, m)):
+        if n >= first:
+            fact = fact * n if n > first else factorial(n)
+            for r in range(max(k - m + n, 0), min(n, k) + 1):
+                h[n, r] = factorial(r) * row[r] / fact
+    # zeta(2j) - 1 < 2^-56 beyond j = 28
+    delta = [(float(zeta_even(2 * j)) - 1) / j for j in range(1, 29)]
+    z = sum(
+        binomial(k, i) * d * h[m - i - s, k - i]
+        for i, power in enumerate(_series_powers(delta, k, m - k + 1))
+        for s, d in enumerate(power)
+    )
+    return h[m, k], z
 
 
 def harmonic_H_float(k: int, m: int) -> float:
     """Float evaluation of H_k(m), suitable for large m."""
-    return _conv_powers([0.0] + [1.0 / j for j in range(1, m + 1)], k, m)
+    return _float_sums(k, m)[0]
 
 
 def harmonic_Z_float(k: int, m: int) -> float:
     """Float evaluation of Z_k(m)/pi^(2m) rescaled by zeta values directly:
     returns the numeric value of sum prod zeta(2 j_i)/j_i."""
-    import mpmath
-
-    vec = [0.0] * (m + 1)
-    for j in range(1, m + 1):
-        # zeta(2j) is 1 to double precision once 2j exceeds ~55
-        z = float(mpmath.zeta(2 * j)) if 2 * j <= 56 else 1.0
-        vec[j] = z / j
-    return _conv_powers(vec, k, m)
+    return _float_sums(k, m)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +345,7 @@ def expansion_residual(k: int, m: int) -> Tuple[float, float]:
     expansion_B = sum(
         sc.B[j] * logm ** (k - 1 - j) / factorial(k - 1 - j) for j in range(k)
     )
-    h = harmonic_H_float(k, m)
-    z = harmonic_Z_float(k, m)
+    h, z = _float_sums(k, m)
     eps_h = m * h / factorial(k) - expansion_A
     eps_z = m * z / factorial(k) - expansion_B
     return eps_h, eps_z

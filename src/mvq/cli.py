@@ -173,12 +173,14 @@ def cmd_agk(args) -> int:
 def cmd_harmonic(args) -> int:
     if args.kind == "H":
         val = asymptotics.harmonic_H(args.k, args.m)
-        text = f"H_{args.k}({args.m}) = {val}"
-        payload = {"value": str(val), "float": float(val)}
+        # PiRational's float gives +-inf, not OverflowError, past the float range
+        exact, approx = str(val), float(PiRational(val))
     else:
-        zval = asymptotics.harmonic_Z(args.k, args.m)
-        text = f"Z_{args.k}({args.m}) = {zval}"
-        payload = {"value": zval.to_json(), "float": float(zval)}
+        val = asymptotics.harmonic_Z(args.k, args.m)
+        exact, approx = val.to_json(), float(val)
+    text = f"{args.kind}_{args.k}({args.m}) = {val} ≈ {_fmt_float(approx, args.digits)}"
+    # JSON has no infinity: a value beyond the float range has "float": null
+    payload = {"value": exact, "float": approx if math.isfinite(approx) else None}
     _emit(args, [text], payload)
     return 0
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial as _factorial, pi as _PI
+from math import comb, factorial as _factorial, inf, isfinite, pi as _PI
+from sys import float_info
+from typing import Tuple
 
 __all__ = [
     "ExactnessError",
@@ -22,20 +24,30 @@ class ExactnessError(ValueError, AssertionError):
     its power of pi.  Raised explicitly, so ``python -O`` keeps the check."""
 
 
-@lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (convention B_1 = -1/2), via the defining recurrence
-    sum_{k=0}^{n} C(n+1, k) B_k = 0."""
+    """Bernoulli number B_n (convention B_1 = -1/2)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    if n > 1 and n % 2 == 1:
+    if n < 2:
+        return Fraction(1) if n == 0 else Fraction(-1, 2)
+    if n % 2 == 1:
         return Fraction(0)
-    s = Fraction(0)
-    for k in range(n):
-        s += comb(n + 1, k) * bernoulli(k)
-    return -s / (n + 1)
+    # tables of power-of-two length: a run over n = 2, 4, ..., N costs about one table
+    return _even_bernoulli(1 << (n // 2 - 1).bit_length())[n // 2 - 1]
+
+
+@lru_cache(maxsize=None)
+def _even_bernoulli(count: int) -> Tuple[Fraction, ...]:
+    """B_2, B_4, ..., B_{2 count} from the tangent numbers T_j of Brent and
+    Harvey's integer loop: B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1))."""
+    t = [0] + [_factorial(j - 1) for j in range(1, count + 1)]
+    for i in range(2, count + 1):
+        for j in range(i, count + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return tuple(
+        Fraction((-1) ** (j - 1) * 2 * j * t[j], 4 ** j * (4 ** j - 1))
+        for j in range(1, count + 1)
+    )
 
 
 def factorial(n: int) -> int:
@@ -60,6 +72,10 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
+
+
+# pi to 60 decimal digits: p times its relative error stays far below a float ulp
+_PI_60 = Fraction(3141592653589793238462643383279502884197169399375105820974944, 10 ** 60)
 
 
 class PiRational:
@@ -148,7 +164,20 @@ class PiRational:
         return hash((self.coeff, self.pi_power))
 
     def __float__(self) -> float:
-        return float(self.coeff) * _PI ** self.pi_power
+        """float(q) * pi^p where float(q) is a normal float and the product
+        is finite; else q * pi^p with pi to 60 digits, rounded once, which
+        is +-inf beyond the float range."""
+        try:
+            q = float(self.coeff)
+            x = q * _PI ** self.pi_power
+        except OverflowError:
+            q = x = inf
+        if isfinite(x) and (abs(q) >= float_info.min or self.is_zero()):
+            return x
+        try:
+            return float(self.coeff * _PI_60 ** self.pi_power)
+        except OverflowError:
+            return inf if self.coeff > 0 else -inf
 
     def __repr__(self) -> str:
         return "PiRational(%s, %d)" % (self.coeff, self.pi_power)

@@ -170,6 +170,40 @@ def _reference_Z(k, m):
     return total
 
 
+class TestHarmonicLoops:
+    # H_k(m) and Z_k(m) as floats, from the numpy convolution that the Stirling
+    # loop replaced
+    CONVOLUTION_FLOATS = {
+        (1, 50): (0.02, 0.02),
+        (2, 30): (0.26411025317247055, 0.3120555331442154),
+        (3, 20): (1.6489190146435417, 2.497305779984205),
+        (1, 500): (0.002, 0.002),
+        (2, 2000): (0.008177868103610283, 0.008871390505566339),
+        (3, 4000): (0.057789334637291495, 0.06737559262119987),
+    }
+
+    def test_floats_match_the_convolution(self):
+        for (k, m), (h, z) in self.CONVOLUTION_FLOATS.items():
+            assert harmonic_H_float(k, m) == pytest.approx(h, rel=1e-12, abs=0), (k, m)
+            assert harmonic_Z_float(k, m) == pytest.approx(z, rel=1e-12, abs=0), (k, m)
+
+    def test_expansion_residual_leaves_numpy_unloaded(self):
+        code = (
+            "import sys\nfrom mvq.asymptotics import expansion_residual\n"
+            "expansion_residual(3, 4000)\nprint('numpy' in sys.modules)"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+
 class TestSeriesExpansions:
     def test_sum_identities(self):
         checks = series_checks(60)
@@ -203,7 +237,7 @@ class TestPoissonModel:
 
 
 def test_cold_import_loads_neither_numpy_nor_mpmath():
-    # only the float helpers need them, so they import them when called
+    # only series_coeffs needs mpmath, and it imports it when called
     code = "import sys, mvq.cli\nprint(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(

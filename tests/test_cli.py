@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 import json
+import time
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from mvq.cli import main
@@ -126,6 +129,64 @@ class TestAsymptotics:
         code, out, _ = run(capsys, "--json", "harmonic", "H", "2", "10")
         assert code == 0
         json.loads(out)
+
+    @staticmethod
+    def harmonic(capsys, kind, k, m):
+        """Run `harmonic kind k m` in text and JSON form, each in under 2 s;
+        return the text line and the JSON payload."""
+        outputs = []
+        for form in ((), ("--json",)):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, *form, "harmonic", kind, str(k), str(m))
+            assert code == 0 and time.perf_counter() - start < 2, (form, kind, k, m)
+            outputs.append(out)
+        assert outputs[0].startswith(f"{kind}_{k}({m}) = ")
+        return outputs[0].rstrip(), json.loads(outputs[1])
+
+    # at m = k + 3 the parts above 1 are {4}, {3, 2} or {2, 2, 2}
+    @staticmethod
+    def h_plus_3(k):
+        return Fraction(k, 4) + Fraction(k * (k - 1), 6) + Fraction(k * (k - 1) * (k - 2), 48)
+
+    @staticmethod
+    def z_plus_3(k):
+        """Z_k(k+3)/pi^(2k+6), from c_j = zeta(2j)/(pi^(2j) j) for j = 1..4."""
+        c1, c2, c3, c4 = Fraction(1, 6), Fraction(1, 180), Fraction(1, 2835), Fraction(1, 37800)
+        return (
+            k * c1 ** (k - 1) * c4
+            + k * (k - 1) * c1 ** (k - 2) * c2 * c3
+            + k * (k - 1) * (k - 2) // 6 * c1 ** (k - 3) * c2 ** 3
+        )
+
+    def test_harmonic_at_large_k(self, capsys):
+        k = 500
+        _, doc = self.harmonic(capsys, "H", k, k + 3)
+        assert self.h_plus_3(k) == Fraction(15781625, 6)
+        assert doc == {"value": "15781625/6", "float": 15781625 / 6}
+        coeff = self.z_plus_3(k)
+        _, doc = self.harmonic(capsys, "Z", k, k + 3)
+        assert doc["value"] == {"coeff": str(coeff), "pi_power": 2 * k + 6}
+        with mpmath.workdps(30):
+            want = float(mpmath.mpf(coeff.numerator) / coeff.denominator * mpmath.pi ** (2 * k + 6))
+        assert doc["float"] == pytest.approx(want, rel=1e-12)
+
+    def test_harmonic_past_the_float_range_of_pi_powers(self, capsys):
+        # Z_1(320) = zeta(640)/320, with zeta(640) = 1 + 2^-640 + 3^-640 + ...
+        text, doc = self.harmonic(capsys, "Z", 1, 320)
+        assert text.endswith("≈ 0.003125")
+        assert doc["float"] == 1 / 320 and doc["value"]["pi_power"] == 640
+        coeff = Fraction(doc["value"]["coeff"])
+        with mpmath.workdps(300):
+            excess = mpmath.mpf(coeff.numerator) / coeff.denominator * mpmath.pi ** 640 * 320 - 1
+            assert abs(excess * 2 ** 640 - 1) < 1e-100
+
+    def test_harmonic_at_k_2000_is_quick(self, capsys):
+        _, doc = self.harmonic(capsys, "H", 2000, 2003)
+        assert doc == {"value": str(self.h_plus_3(2000)), "float": float(self.h_plus_3(2000))}
+        # Z_2000(2003) is about 10^432, past the float range
+        text, doc = self.harmonic(capsys, "Z", 2000, 2003)
+        assert doc == {"value": {"coeff": str(self.z_plus_3(2000)), "pi_power": 4006}, "float": None}
+        assert text.endswith("≈ inf")
 
     def test_sep_ratio(self, capsys):
         code, out, _ = run(capsys, "sep-ratio", "3")

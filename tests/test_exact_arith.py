@@ -1,5 +1,7 @@
 """Tests for exact rational-times-power-of-pi arithmetic."""
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,8 @@ from hypothesis import given, strategies as st
 from mvq.exact_arith import (
     ExactnessError,
     PiRational,
+    _PI_60,
+    bernoulli,
     binomial,
     double_factorial,
     factorial,
@@ -42,6 +46,38 @@ class TestZetaEven:
     def test_rejects_odd_argument(self):
         with pytest.raises((ValueError, AssertionError)):
             zeta_even(3)
+
+
+# the defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 that the
+# tangent-number loop replaced
+@lru_cache(maxsize=None)
+def _reference_bernoulli(n):
+    if n == 0:
+        return Fraction(1)
+    if n > 1 and n % 2 == 1:
+        return Fraction(0)
+    return -sum(math.comb(n + 1, k) * _reference_bernoulli(k) for k in range(n)) / (n + 1)
+
+
+class TestBernoulli:
+    def test_matches_defining_recurrence(self):
+        for n in range(121):
+            assert bernoulli(n) == _reference_bernoulli(n), n
+
+    def test_conventions(self):
+        assert bernoulli(0) == 1
+        assert bernoulli(1) == Fraction(-1, 2)
+        assert bernoulli(12) == Fraction(-691, 2730)
+        assert all(bernoulli(n) == 0 for n in (3, 5, 99, 641))
+        with pytest.raises(ValueError):
+            bernoulli(-2)
+
+    def test_von_staudt_clausen_at_640(self):
+        # the denominator of B_n is the product of the primes p with (p - 1) | n
+        n = 640
+        primes = [p for p in range(2, n + 2) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        assert bernoulli(n).denominator == math.prod(p for p in primes if n % (p - 1) == 0)
+        assert bernoulli(n) < 0  # the sign of B_n is (-1)^(n/2 + 1)
 
 
 class TestCombinatorics:
@@ -110,10 +146,34 @@ class TestPiRationalField:
 
     @given(fractions_st, powers_st)
     def test_float_evaluation(self, a, p):
-        import math
-
+        # inside the float range, exactly the plain product
         x = pr(a, p)
-        assert float(x) == pytest.approx(float(a) * math.pi ** p)
+        assert float(x) == float(a) * math.pi ** p
+
+    def test_float_of_a_large_pi_power(self):
+        # pi^640 alone overflows a float; zeta(640) = 1 + 2^-640 + ...
+        assert float(zeta_even(640)) == 1.0
+        assert float(zeta_even(640) / 320) == 1 / 320
+        assert float(pr(Fraction(1, 10 ** 400), 700)) == pytest.approx(
+            math.exp(700 * math.log(math.pi) - 400 * math.log(10)), rel=1e-12, abs=0
+        )
+
+    def test_float_beyond_the_float_range(self):
+        assert float(pr(1, 700)) == math.inf
+        assert float(pr(-3, 700)) == -math.inf
+        assert float(pr(10 ** 400, 0)) == math.inf
+        assert float(pr(Fraction(1, 10 ** 400), 2)) == 0.0
+        # coefficients that are subnormal or 0.0 as floats, times a finite pi^600
+        for e in (320, 400):
+            assert float(pr(Fraction(1, 10 ** e), 600)) == pytest.approx(
+                math.exp(600 * math.log(math.pi) - e * math.log(10)), rel=1e-12, abs=0
+            )
+
+    def test_sixty_digits_of_pi(self):
+        import mpmath
+
+        with mpmath.workdps(80):
+            assert abs(_PI_60.numerator / mpmath.mpf(_PI_60.denominator) - mpmath.pi) < 1e-60
 
     @given(fractions_st, powers_st)
     def test_rational_checks_pi_power(self, a, p):
