@@ -32,7 +32,8 @@ ENTRY = "import sys; from mvq.cli import main; sys.exit(main())"
 # the large-genus layer and the statistics that read a graph file: a value,
 # a divergent expectation, one given heights, and a negative exponent after
 # the shift (exit 2), then harmonic sums at larger k and m, up to the last
-# pi power whose float alone stays finite (Z_1(300), pi^600)
+# pi power whose float alone stays finite (Z_1(300), pi^600), then the edge
+# recursion at the sizes past the catalog's reach
 REQUESTS = (
     "volume 4 0",
     "volume 4 1 --per-cylinder",
@@ -67,6 +68,9 @@ REQUESTS = (
     "harmonic H 3 300",
     "harmonic Z 2 80",
     "harmonic Z 1 300",
+    "volume 7 0 --per-cylinder",
+    "volume 4 2 --per-cylinder",
+    "sv 6 0 --method boundary",
 )
 
 GRAPHS = {

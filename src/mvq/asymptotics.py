@@ -12,6 +12,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from .correlators import bracket_factor, epsilon_d, max_bracket
 from .exact_arith import (
+    _PI_60,
     PiRational,
     binomial,
     double_factorial,
@@ -230,6 +231,13 @@ def harmonic_Z(k: int, m: int) -> PiRational:
     return PiRational(total, 2 * m)
 
 
+@lru_cache(maxsize=None)
+def _deltas() -> Tuple[float, ...]:
+    """delta_j = (zeta(2j) - 1)/j for j = 1..28, each from the exact zeta(2j)
+    with pi to 60 digits, rounded once; zeta(2j) - 1 < 2^-56 beyond j = 28."""
+    return tuple(float((zeta_even(2 * j).coeff * _PI_60 ** (2 * j) - 1) / j) for j in range(1, 29))
+
+
 def _float_sums(k: int, m: int) -> Tuple[float, float]:
     """(H_k(m), Z_k(m)) in floats from one pass over the Stirling rows.
     L = -log(1-x) + delta(x) with delta_j = (zeta(2j) - 1)/j, so
@@ -244,11 +252,9 @@ def _float_sums(k: int, m: int) -> Tuple[float, float]:
             fact = fact * n if n > first else factorial(n)
             for r in range(max(k - m + n, 0), min(n, k) + 1):
                 h[n, r] = factorial(r) * row[r] / fact
-    # zeta(2j) - 1 < 2^-56 beyond j = 28
-    delta = [(float(zeta_even(2 * j)) - 1) / j for j in range(1, 29)]
     z = sum(
         binomial(k, i) * d * h[m - i - s, k - i]
-        for i, power in enumerate(_series_powers(delta, k, m - k + 1))
+        for i, power in enumerate(_series_powers(_deltas(), k, m - k + 1))
         for s, d in enumerate(power)
     )
     return h[m, k], z

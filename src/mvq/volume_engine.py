@@ -253,20 +253,27 @@ def _wick(g: int, S: Tuple[int, ...]) -> Vector:
         den, vec = _contracted(g - 1, tuple(sorted(S + (b,))), b)
         _add(sums, den, 1, vec, 1)
     # the split sum is symmetric under swapping the ends of the marked edge,
-    # so it runs over one end of each swapped pair and counts it twice
+    # so it runs over one end of each swapped pair and counts it twice.  A
+    # side (g_i, S_i) has a graph with an end of the marked edge only if
+    # _room(g_i, S_i) >= -1, that is g_i >= ceil((sum(S_i) - |S_i| + 2)/3);
+    # such a side is also stable, so no recursion into an unstable one starts
     for S1, S2, weight in _splits(S):
-        for g1 in range(g + 1):
+        lo = max(0, (sum(S1) - len(S1) + 4) // 3)
+        hi = g - max(0, (sum(S2) - len(S2) + 4) // 3)
+        for g1 in range(lo, hi + 1):
             g2 = g - g1
-            # an unstable side has no graph, and recursing into it never ends
-            if (g1, S1) > (g2, S2) or min(2 * g1 + len(S1), 2 * g2 + len(S2)) < 2:
+            if (g1, S1) > (g2, S2):
                 continue
             pair = weight * (1 if (g1, S1) == (g2, S2) else 2)
             for b in range(_room(g2, S2) + 2):
                 den_r, right = _wick(g2, tuple(sorted(S2 + (b,))))
                 den_l, left = _contracted(g1, S1, b)
+                row = sums[den_l * den_r]
                 for i, v in enumerate(left, 1):
                     if v:
-                        _add(sums, den_l * den_r, pair * v, right, i)
+                        v *= pair
+                        for k, w in enumerate(right, i):
+                            row[k] += v * w
     return _vector(sums, [max(2 * k, 1) for k in range(top + 1)])
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from mvq.asymptotics import (
+    _deltas,
     agk_by_recursion,
     agk_from_correlators,
     expansion_residual,
@@ -186,6 +187,15 @@ class TestHarmonicLoops:
         for (k, m), (h, z) in self.CONVOLUTION_FLOATS.items():
             assert harmonic_H_float(k, m) == pytest.approx(h, rel=1e-12, abs=0), (k, m)
             assert harmonic_Z_float(k, m) == pytest.approx(z, rel=1e-12, abs=0), (k, m)
+
+    def test_deltas_match_mpmath(self):
+        # delta_j = (zeta(2j) - 1)/j, rounded once, against 50-digit mpmath;
+        # the float pi^(2j) made delta_27 and delta_28 negative
+        import mpmath
+
+        with mpmath.workdps(50):
+            want = [float((mpmath.zeta(2 * j) - 1) / j) for j in range(1, 29)]
+        assert list(_deltas()) == want
 
     def test_expansion_residual_leaves_numpy_unloaded(self):
         code = (

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from mvq import volume_engine
-from mvq.correlators import correlator
+from mvq.correlators import _splits, correlator
 from mvq.exact_arith import PiRational, factorial, zeta_even
 from mvq.multicurve_stats import b_gn, cylinder_distribution
 from mvq.siegel_veech import c_area_boundary
@@ -205,6 +206,114 @@ class TestVolumes:
             if not entry.graph.edges:
                 continue
             assert vol_graph(entry.graph, entry.aut_order) == vol
+
+
+# Vol Q_{7,0}: its k-cylinder parts, k = 1..18, times pi^-36
+VOL_7_0_PARTS = (
+    "198424403972469245441859082123/53293604146560155968755948783000000000",
+    "194806400942912071773763716135497/23982121865952070185940176952350000000000",
+    "1326523572657141642095022425129/168295592041768913585545101420000000000",
+    "88389521200607961329646746357/19418722158665643875255204010000000000",
+    "40560386416168411800581670533/22845555480783110441476710600000000000",
+    "46531690452271998859109076757/91382221923132441765906842400000000000",
+    "110228574278570656075765753/949425682318259135230200960000000000",
+    "43171610598612852275674429/1898851364636518270460401920000000000",
+    "1980780946220545317443081/486884965291414941143692800000000000",
+    "401257518222473249188837/584261958349697929372431360000000000",
+    "47936929558578574903/433589579480295309367296000000000",
+    "3946387007834617/233471312027851320428544000000",
+    "1496307548809201/619413684971850441953280000000",
+    "34041872836801/108397394870073827341824000000",
+    "44135240651/1238827369943700883906560000",
+    "5619829/1701685947724863851520000",
+    "49321/222012073466613061632000",
+    "787/96783388276851631555200",
+)
+
+# The edge recursion with the split loop it had before the genus range was
+# cut to the sides that can hold a graph: every g1 whose two sides are
+# stable.  Each memo is a plain dict so that a test can list what it reached.
+_REF_WICK = {}
+_REF_CONTRACTED = {}
+
+
+def _reference_wick(g, S):
+    if (g, S) in _REF_WICK:
+        return _REF_WICK[g, S]
+    top = volume_engine._room(g, S)
+    if top < 0 or 2 * g - 2 + len(S) <= 0:
+        _REF_WICK[g, S] = 1, ()
+        return 1, ()
+    sums = defaultdict(lambda: [0] * (top + 1))
+    if S:
+        c = correlator(g, S)
+        sums[c.denominator][0] = c.numerator
+    for b in range(top if g >= 1 else 0):
+        den, vec = _reference_contracted(g - 1, tuple(sorted(S + (b,))), b)
+        volume_engine._add(sums, den, 1, vec, 1)
+    for S1, S2, weight in _splits(S):
+        for g1 in range(g + 1):
+            g2 = g - g1
+            if (g1, S1) > (g2, S2) or min(2 * g1 + len(S1), 2 * g2 + len(S2)) < 2:
+                continue
+            pair = weight * (1 if (g1, S1) == (g2, S2) else 2)
+            for b in range(volume_engine._room(g2, S2) + 2):
+                den_r, right = _reference_wick(g2, tuple(sorted(S2 + (b,))))
+                den_l, left = _reference_contracted(g1, S1, b)
+                for i, v in enumerate(left, 1):
+                    if v:
+                        volume_engine._add(sums, den_l * den_r, pair * v, right, i)
+    val = volume_engine._vector(sums, [max(2 * k, 1) for k in range(top + 1)])
+    _REF_WICK[g, S] = val
+    return val
+
+
+def _reference_contracted(g, S, b):
+    if (g, S, b) not in _REF_CONTRACTED:
+        size = volume_engine._room(g, S) + 2
+        sums = defaultdict(lambda: [0] * size)
+        for a in range(size):
+            p = volume_engine._propagator(a, b)
+            den, vec = _reference_wick(g, tuple(sorted(S + (a,))))
+            volume_engine._add(sums, p.denominator * den, p.numerator, vec, 0)
+        _REF_CONTRACTED[g, S, b] = volume_engine._vector(sums, [1] * size)
+    return _REF_CONTRACTED[g, S, b]
+
+
+class TestEdgeRecursion:
+    def test_equals_reference_split_loop(self):
+        """_wick against the split loop over every g1 with stable sides, on
+        every (g, S) that the reference reaches from five (g, n)."""
+        for g, n in ((5, 0), (4, 1), (3, 2), (2, 4), (1, 6)):
+            _reference_wick(g, (0,) * n)
+        assert len(_REF_WICK) > 700
+        for (g, S), want in _REF_WICK.items():
+            assert volume_engine._wick(g, S) == want, (g, S)
+
+    def test_no_contracted_vector_is_empty(self, monkeypatch):
+        """A split is summed only when its left side can hold a graph, so no
+        cut edge is contracted against a side with no room at all."""
+        inner = volume_engine._contracted
+        seen = {}
+
+        def recording(g, S, b):
+            seen[g, S, b] = vec = inner(g, S, b)
+            return vec
+
+        monkeypatch.setattr(volume_engine, "_contracted", recording)
+        volume_engine._wick.cache_clear()
+        inner.cache_clear()
+        masur_veech_volume.cache_clear()
+        masur_veech_volume(4, 1)
+        assert len(seen) > 500
+        assert [key for key, (_, vec) in seen.items() if not vec] == []
+
+    def test_seven_zero_per_cylinder_parts(self):
+        rep = masur_veech_volume(7, 0)
+        assert rep.per_cylinder_count == {
+            k: pr(Fraction(q), 36) for k, q in enumerate(VOL_7_0_PARTS, 1)
+        }
+        assert rep.total == pr(Fraction(2988444945587149, 111891468210577735680000), 36)
 
 
 class TestPolynomialStructure:
