@@ -33,7 +33,9 @@ ENTRY = "import sys; from mvq.cli import main; sys.exit(main())"
 # a divergent expectation, one given heights, and a negative exponent after
 # the shift (exit 2), then harmonic sums at larger k and m, up to the last
 # pi power whose float alone stays finite (Z_1(300), pi^600), then the edge
-# recursion at the sizes past the catalog's reach
+# recursion at the sizes past the catalog's reach, then the boundary
+# Siegel-Veech formula and the Lyapunov sum that reads it, both on the cut
+# enumerator that the edge recursion and the correlators share
 REQUESTS = (
     "volume 4 0",
     "volume 4 1 --per-cylinder",
@@ -71,6 +73,10 @@ REQUESTS = (
     "volume 7 0 --per-cylinder",
     "volume 4 2 --per-cylinder",
     "sv 6 0 --method boundary",
+    "sv 7 0 --method boundary",
+    "sv 3 4 --method boundary",
+    "lyapunov 4 1",
+    "volume 8 0 --per-cylinder",
 )
 
 GRAPHS = {

@@ -454,7 +454,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, multicurve_stats.IndeterminateError) else 1
 

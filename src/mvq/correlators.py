@@ -42,19 +42,37 @@ def cached_keys():
     return list(_cache.keys())
 
 
-def _splits(S: Tuple[int, ...]):
-    """Yield (S1, S2, weight) for every way to split the sorted multiset S
-    into two, S1 and S2 sorted like S and weight the number of subsets of the
-    positions of S whose entries form S1."""
+def _room(g: int, S: Tuple[int, ...]) -> int:
+    """3g - 3 + |S| - sum(S): the most edges a graph of type (g, S) has."""
+    return 3 * g - 3 + len(S) - sum(S)
+
+
+def _cuts(g: int, S: Tuple[int, ...]):
+    """Yield (g1, S1, g2, S2, weight) once for every unordered cut of (g, S)
+    into g1 + g2 = g and S1 + S2 = S, sorted like S, whose two sides each have
+    room for one end of the cut edge: _room(g_i, S_i) >= -1, so each side
+    with its end is stable.  weight counts the subsets of the positions of S
+    whose entries form S1, doubled when the two sides differ."""
     runs = [(x, len(list(run))) for x, run in groupby(S)]
+    excess = sum(S) - len(S)
     for pick in _iproduct(*[range(c + 1) for _, c in runs]):
+        # room >= -1 means g_i >= ceil((sum(S_i) - |S_i| + 2)/3), so the
+        # genus range of a split reads only sum(S1) - |S1|; past g // 2 the
+        # sides would come swapped
+        excess1 = sum((x - 1) * k for (x, _), k in zip(runs, pick))
+        lo = max(0, (excess1 + 4) // 3)
+        hi = min(g // 2, g - max(0, (excess - excess1 + 4) // 3))
+        if lo > hi:
+            continue
         weight = 1
-        left = right = ()
+        S1 = S2 = ()
         for (x, c), k in zip(runs, pick):
             weight *= comb(c, k)
-            left += (x,) * k
-            right += (x,) * (c - k)
-        yield left, right, weight
+            S1 += (x,) * k
+            S2 += (x,) * (c - k)
+        for g1 in range(lo, hi + 1):
+            if (g1, S1) <= (g - g1, S2):
+                yield g1, S1, g - g1, S2, weight * (1 if (g1, S1) == (g - g1, S2) else 2)
 
 
 def _corr(g: int, d: Iterable[int]) -> Fraction:
@@ -88,13 +106,13 @@ def _corr(g: int, d: Iterable[int]) -> Fraction:
         half = _ZERO
         for a in range(k - 1):
             b = k - 2 - a
-            term = _corr(g - 1, rest + (a, b))
-            for left, right, weight in _splits(rest):
-                for g1 in range(g + 1):
-                    c1 = _corr(g1, left + (a,))
-                    if c1:
-                        term += weight * c1 * _corr(g - g1, right + (b,))
-            half += double_factorial(2 * a + 1) * double_factorial(2 * b + 1) * term
+            half += (double_factorial(2 * a + 1) * double_factorial(2 * b + 1)
+                     * _corr(g - 1, rest + (a, b)))
+        # on a cut, each side's room fixes its index, and the two add to k - 2
+        for g1, S1, g2, S2, weight in _cuts(g, rest):
+            a, b = _room(g1, S1) + 1, _room(g2, S2) + 1
+            half += (weight * double_factorial(2 * a + 1) * double_factorial(2 * b + 1)
+                     * _corr(g1, S1 + (a,)) * _corr(g2, S2 + (b,)))
         val = (val + half / 2) / double_factorial(2 * k + 1)
     _cache[key] = val
     return val

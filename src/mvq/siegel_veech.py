@@ -12,6 +12,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Dict
 
+from .correlators import _cuts
 from .exact_arith import PiRational, factorial
 from .stable_graphs import bridges, unlabeled_graphs
 from .volume_engine import _graph_numerators, _shared_prefactor, masur_veech_volume, op_Z
@@ -47,16 +48,12 @@ def _vol_q(g: int, n: int) -> PiRational:
     return masur_veech_volume(g, n).total
 
 
-def _piece_factor(g: int, n: int) -> Fraction | None:
+def _piece_factor(g: int, n: int) -> Fraction:
     """Per-piece weight (d_i - 1)! / ell_i! of a boundary component, with its
-    regularized value 1/2 at the unstable piece (0, 3); None marks pieces that
-    do not occur."""
+    regularized value 1/2 at the unstable piece (0, 3)."""
     if (g, n) == (0, 3):
         return Fraction(1, 2)
-    ell = 4 * g - 4 + n
-    if ell < 0 or 2 * g - 2 + n <= 0:
-        return None
-    return Fraction(factorial(6 * g - 7 + 2 * n), factorial(ell))
+    return Fraction(factorial(6 * g - 7 + 2 * n), factorial(4 * g - 4 + n))
 
 
 def c_area_boundary(g: int, n: int) -> Fraction:
@@ -67,22 +64,15 @@ def c_area_boundary(g: int, n: int) -> Fraction:
     d = 6 * g - 6 + 2 * n
     ell = 4 * g - 4 + n
     rhs = PiRational.zero()
-    for g1 in range(0, g + 1):
-        g2 = g - g1
-        for n1 in range(1, n + 2):
-            n2 = n + 2 - n1
-            q1 = _piece_factor(g1, n1)
-            q2 = _piece_factor(g2, n2)
-            if q1 is None or q2 is None:
-                continue
-            coeff = (
-                factorial(ell)
-                * q1
-                * q2
-                * Fraction(factorial(n), factorial(n1 - 1) * factorial(n2 - 1))
-                / factorial(d - 1)
-            )
-            rhs = rhs + coeff * (_vol_q(g1, n1) * _vol_q(g2, n2))
+    # a separating curve cuts off pieces (g_i, n_i = |S_i| + 1); the weight of
+    # a cut is n! / ((n1 - 1)! (n2 - 1)!), doubled when the pieces differ
+    for g1, S1, g2, S2, weight in _cuts(g, (0,) * n):
+        n1, n2 = len(S1) + 1, len(S2) + 1
+        coeff = (
+            factorial(ell) * weight * _piece_factor(g1, n1) * _piece_factor(g2, n2)
+            / factorial(d - 1)
+        )
+        rhs = rhs + coeff * (_vol_q(g1, n1) * _vol_q(g2, n2))
     rhs = rhs * Fraction(1, 8)
     if g >= 1:
         # the non-separating term: genus 0 has no non-separating curve
@@ -99,4 +89,4 @@ def lyapunov_sum_plus(g: int, n: int) -> Fraction:
     principal stratum, as an affine function of the area Siegel-Veech
     constant."""
     ell = 4 * g - 4 + n
-    return Fraction(1, 24) * (Fraction(5 * ell, 3) - 3 * n) + c_area_graphsum(g, n)
+    return Fraction(1, 24) * (Fraction(5 * ell, 3) - 3 * n) + c_area_boundary(g, n)

@@ -15,7 +15,7 @@ from itertools import chain, compress
 from math import gcd, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
-from .correlators import _splits, correlator
+from .correlators import _cuts, _room, correlator
 from .exact_arith import ExactnessError, PiRational, factorial, zeta_even
 from .stable_graphs import CatalogEntry, StableGraph, aut_order, enumerate_graphs
 
@@ -213,11 +213,6 @@ def _propagator(a: int, b: int) -> Fraction:
     return 2 * _zeta_factor(2 * a + 2 * b + 1) / (factorial(a) * factorial(b))
 
 
-def _room(g: int, S: Tuple[int, ...]) -> int:
-    """3g - 3 + |S| - sum(S): the most edges a graph of type (g, S) has."""
-    return 3 * g - 3 + len(S) - sum(S)
-
-
 def _add(sums: Dict[int, List[int]], den: int, scale: int, vec: Sequence[int], k0: int):
     """sums[den][k0 + k] += scale * vec[k] for each k."""
     row = sums[den]
@@ -252,28 +247,19 @@ def _wick(g: int, S: Tuple[int, ...]) -> Vector:
     for b in range(top if g >= 1 else 0):  # the marked edge does not separate
         den, vec = _contracted(g - 1, tuple(sorted(S + (b,))), b)
         _add(sums, den, 1, vec, 1)
-    # the split sum is symmetric under swapping the ends of the marked edge,
-    # so it runs over one end of each swapped pair and counts it twice.  A
-    # side (g_i, S_i) has a graph with an end of the marked edge only if
-    # _room(g_i, S_i) >= -1, that is g_i >= ceil((sum(S_i) - |S_i| + 2)/3);
-    # such a side is also stable, so no recursion into an unstable one starts
-    for S1, S2, weight in _splits(S):
-        lo = max(0, (sum(S1) - len(S1) + 4) // 3)
-        hi = g - max(0, (sum(S2) - len(S2) + 4) // 3)
-        for g1 in range(lo, hi + 1):
-            g2 = g - g1
-            if (g1, S1) > (g2, S2):
-                continue
-            pair = weight * (1 if (g1, S1) == (g2, S2) else 2)
-            for b in range(_room(g2, S2) + 2):
-                den_r, right = _wick(g2, tuple(sorted(S2 + (b,))))
-                den_l, left = _contracted(g1, S1, b)
-                row = sums[den_l * den_r]
-                for i, v in enumerate(left, 1):
-                    if v:
-                        v *= pair
-                        for k, w in enumerate(right, i):
-                            row[k] += v * w
+    # the split sum runs over the cuts whose two sides can each hold a graph
+    # with an end of the marked edge; such a side is also stable, so no
+    # recursion into an unstable one starts
+    for g1, S1, g2, S2, pair in _cuts(g, S):
+        for b in range(_room(g2, S2) + 2):
+            den_r, right = _wick(g2, tuple(sorted(S2 + (b,))))
+            den_l, left = _contracted(g1, S1, b)
+            row = sums[den_l * den_r]
+            for i, v in enumerate(left, 1):
+                if v:
+                    v *= pair
+                    for k, w in enumerate(right, i):
+                        row[k] += v * w
     return _vector(sums, [max(2 * k, 1) for k in range(top + 1)])
 
 

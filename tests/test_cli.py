@@ -379,6 +379,13 @@ class TestBoundary:
             path.write_text(json.dumps(doc))
             self.assert_rejected(capsys, "freq", "--multicurve", str(path))
 
+    # a directory is no graph file: one error line, not an IsADirectoryError
+    def test_freq_rejects_directory(self, capsys, tmp_path):
+        self.assert_rejected(capsys, "freq", "--multicurve", str(tmp_path))
+
+    def test_expect_rejects_directory(self, capsys, tmp_path):
+        self.assert_rejected(capsys, "expect", "--graph", str(tmp_path), "--num", "1", "--den", "1")
+
     def test_freq_rejects_zero_three(self, capsys, tmp_path):
         # the one-vertex (0, 3) graph is stable but has no edge, so there is
         # no multicurve and the frequency's normalization is 0

@@ -2,7 +2,8 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from mvq.correlators import (
     one_point_closed_form,
 )
 from mvq import correlators
-from mvq.correlators import _splits
+from mvq.correlators import _cuts, _room
 
 
 class TestKnownValues:
@@ -114,6 +115,35 @@ class TestTable:
         assert keys == 915
 
 
+def _splits(S):
+    """Yield (S1, S2, weight) for every way to split the sorted multiset S
+    into two, S1 and S2 sorted like S and weight the number of subsets of the
+    positions of S whose entries form S1."""
+    runs = [(x, len(list(run))) for x, run in groupby(S)]
+    for pick in product(*[range(c + 1) for _, c in runs]):
+        weight = 1
+        left = right = ()
+        for (x, c), k in zip(runs, pick):
+            weight *= comb(c, k)
+            left += (x,) * k
+            right += (x,) * (c - k)
+        yield left, right, weight
+
+
+def _reference_cuts(g, S):
+    """The split loop over every g1, kept where both sides have room for an
+    end of the cut edge, one side of each swapped pair, weighted twice when
+    the sides differ."""
+    cuts = []
+    for S1, S2, weight in _splits(S):
+        for g1 in range(g + 1):
+            g2 = g - g1
+            if (g1, S1) > (g2, S2) or min(_room(g1, S1), _room(g2, S2)) < -1:
+                continue
+            cuts.append((g1, S1, g2, S2, weight * (1 if (g1, S1) == (g2, S2) else 2)))
+    return cuts
+
+
 class TestSplits:
     def test_splits_match_index_subsets(self):
         # for each sorted S, the weight of (S1, S2) counts the subsets of
@@ -139,6 +169,22 @@ class TestSplits:
             ((2, 1), (1,), 2),
             ((2, 1, 1), (), 1),
         ]
+
+
+class TestCuts:
+    def test_equals_reference_split_loop(self):
+        """_cuts against the split loop with both room bounds, for every
+        sorted S over {0..4} of size <= 6, ascending and descending, and
+        every g <= 6."""
+        count = 0
+        for size in range(7):
+            for S in combinations_with_replacement(range(5), size):
+                for T in (S, S[::-1]):
+                    for g in range(7):
+                        want = _reference_cuts(g, T)
+                        assert list(_cuts(g, T)) == want, (g, T)
+                        count += len(want)
+        assert count > 10000
 
 
 class TestStringDilaton:

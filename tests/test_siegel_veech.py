@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from mvq import volume_engine
+from mvq import siegel_veech, volume_engine
 from mvq.exact_arith import PiRational, factorial, zeta_even
 from mvq.siegel_veech import c_area_boundary, c_area_graphsum, lyapunov_sum_plus
 from mvq.stable_graphs import StableGraph, bridges, enumerate_graphs
@@ -70,12 +70,57 @@ class TestGraphSum:
         assert c_area_graphsum(*gn) == value
 
 
+def _reference_piece_factor(g, n):
+    if (g, n) == (0, 3):
+        return Fraction(1, 2)
+    ell = 4 * g - 4 + n
+    if ell < 0 or 2 * g - 2 + n <= 0:
+        return None
+    return Fraction(factorial(6 * g - 7 + 2 * n), factorial(ell))
+
+
+def _reference_boundary(g, n):
+    """c_area_boundary by an ordered loop over the genus and the number of
+    points of one boundary piece, skipping the pieces that do not occur."""
+    volume = masur_veech_volume(g, n).total
+    d = 6 * g - 6 + 2 * n
+    ell = 4 * g - 4 + n
+    rhs = PiRational.zero()
+    for g1 in range(0, g + 1):
+        g2 = g - g1
+        for n1 in range(1, n + 2):
+            n2 = n + 2 - n1
+            q1 = _reference_piece_factor(g1, n1)
+            q2 = _reference_piece_factor(g2, n2)
+            if q1 is None or q2 is None:
+                continue
+            coeff = (
+                factorial(ell)
+                * q1
+                * q2
+                * Fraction(factorial(n), factorial(n1 - 1) * factorial(n2 - 1))
+                / factorial(d - 1)
+            )
+            rhs = rhs + coeff * (siegel_veech._vol_q(g1, n1) * siegel_veech._vol_q(g2, n2))
+    rhs = rhs * Fraction(1, 8)
+    if g >= 1:
+        rhs = rhs + (
+            Fraction(factorial(ell), factorial(ell - 2))
+            * Fraction(factorial(d - 3), factorial(d - 1))
+        ) * siegel_veech._vol_q(g - 1, n + 2)
+    return (rhs / volume).rational(-2) / 3
+
+
 class TestBoundaryFormula:
     @pytest.mark.parametrize(
         "g,n", [(1, 2), (1, 3), (2, 0), (2, 1), (0, 4), (0, 5), (0, 6), (0, 7)]
     )
     def test_agrees_with_graph_sum(self, g, n):
         assert c_area_boundary(g, n) == c_area_graphsum(g, n)
+
+    @pytest.mark.parametrize("g,n", [(2, 0), (3, 3), (2, 5), (5, 0), (0, 8)])
+    def test_equals_ordered_piece_loop(self, g, n):
+        assert c_area_boundary(g, n) == _reference_boundary(g, n)
 
 
 class TestLyapunov:
@@ -86,6 +131,15 @@ class TestLyapunov:
     def test_genus_zero_vanishes(self):
         for n in range(4, 9):
             assert lyapunov_sum_plus(0, n) == 0
+
+    def test_walks_no_catalog(self, monkeypatch):
+        def no_catalog(g, n):
+            raise RuntimeError("catalog walked for (%d, %d)" % (g, n))
+
+        monkeypatch.setattr(siegel_veech, "unlabeled_graphs", no_catalog)
+        assert lyapunov_sum_plus(3, 1) == Fraction(139594, 102775)
+        with pytest.raises(ValueError):
+            lyapunov_sum_plus(1, 1)
 
 
 class TestDerivativeOperator:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from mvq import volume_engine
-from mvq.correlators import _splits, correlator
+from mvq.correlators import correlator
 from mvq.exact_arith import PiRational, factorial, zeta_even
 from mvq.multicurve_stats import b_gn, cylinder_distribution
 from mvq.siegel_veech import c_area_boundary
@@ -23,6 +23,7 @@ from mvq.volume_engine import (
     op_Z,
     vol_graph,
 )
+from test_correlators import _splits
 
 
 def pr(c, p):
