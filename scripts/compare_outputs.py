@@ -35,7 +35,9 @@ ENTRY = "import sys; from mvq.cli import main; sys.exit(main())"
 # pi power whose float alone stays finite (Z_1(300), pi^600), then the edge
 # recursion at the sizes past the catalog's reach, then the boundary
 # Siegel-Veech formula and the Lyapunov sum that reads it, both on the cut
-# enumerator that the edge recursion and the correlators share
+# enumerator that the edge recursion and the correlators share, then oracle
+# requests beyond the benchmark's: graphs with legs, a report at genus 4,
+# and monomial sums whose products pass 10^6 digits
 REQUESTS = (
     "volume 4 0",
     "volume 4 1 --per-cylinder",
@@ -77,6 +79,11 @@ REQUESTS = (
     "sv 3 4 --method boundary",
     "lyapunov 4 1",
     "volume 8 0 --per-cylinder",
+    "oracle count 1 2 --N 2000",
+    "oracle count 2 2 --N 300",
+    "oracle count 4 0 --N 60",
+    "oracle lattice --m 1,3 --N 1000 --parity 0,1",
+    "oracle lattice --m 1,1,3 --N 100000 --parity 0,1,2",
 )
 
 GRAPHS = {

@@ -18,13 +18,23 @@ from .stable_graphs import bridges, unlabeled_graphs
 from .volume_engine import _graph_numerators, _shared_prefactor, masur_veech_volume, op_Z
 
 
+def _stratum_volume(g: int, n: int) -> PiRational:
+    """Vol Q_{g,n}, the volume both routes divide by.  Raises ValueError for
+    unstable (g, n) and (0, 3), and for (1, 1), whose stratum Q(1, -1) is
+    empty."""
+    volume = masur_veech_volume(g, n).total
+    if (g, n) == (1, 1):
+        raise ValueError("requires g >= 2, or g = 1 with n >= 2")
+    return volume
+
+
 def c_area_graphsum(g: int, n: int) -> Fraction:
     """(pi^2/3) * c_area computed from the stable-graph catalog: the sum over
     graphs of op_Z of the terms of graph_polynomial(graph) linear in an edge,
     weighted 1/2 for a bridge and 1 otherwise, divided by the volume.  A
     graph's term reads only how many legs sit at each vertex, so the sum runs
     over the catalog with unlabeled legs, times n!."""
-    volume = masur_veech_volume(g, n).total
+    volume = _stratum_volume(g, n)
     # each graph's term without the prefactor that all graphs share, as an
     # integer numerator summed under its denominator
     sums: Dict[int, int] = defaultdict(int)
@@ -58,9 +68,7 @@ def _piece_factor(g: int, n: int) -> Fraction:
 
 def c_area_boundary(g: int, n: int) -> Fraction:
     """(pi^2/3) * c_area computed from volumes of boundary pieces."""
-    volume = masur_veech_volume(g, n).total  # rejects unstable (g, n) and (0, 3)
-    if (g, n) == (1, 1):
-        raise ValueError("requires g >= 2, or g = 1 with n >= 2")
+    volume = _stratum_volume(g, n)
     d = 6 * g - 6 + 2 * n
     ell = 4 * g - 4 + n
     rhs = PiRational.zero()

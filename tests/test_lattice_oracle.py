@@ -1,4 +1,5 @@
 """Tests for the finite-N lattice-point oracle for square-tiled counts."""
+import decimal
 import itertools
 import math
 import time
@@ -186,9 +187,10 @@ class TestSharedLatticeWork:
         assert volume_convergence_report(3, 0, 30) == got
 
     def test_work_is_shared(self, monkeypatch):
-        """At (3, 0) the 147 monomial sums need 17 distinct cost arrays and 67
-        big-integer products, one per head of more than one pair; a second
-        report at the same N makes none."""
+        """At (3, 0) the 147 monomial sums need 6 divisor-power sums, 17
+        distinct cost arrays and 35 products, one per sub-multiset of more
+        than one pair that a key's halves reach; a second report at the same
+        N makes none."""
         counts = {"products": 0, "calls": 0}
 
         def counted(name, fn):
@@ -200,18 +202,54 @@ class TestSharedLatticeWork:
 
         volume_convergence_report(3, 0, 1)  # the catalog and graph polynomials
         lattice_sum((1,), 1)  # empties the memo: the report below uses N = 40
-        monkeypatch.setattr(lattice_oracle, "_truncated_product",
-                            counted("products", lattice_oracle._truncated_product))
+        monkeypatch.setattr(lattice_oracle, "_product",
+                            counted("products", lattice_oracle._product))
         monkeypatch.setattr(lattice_oracle, "lattice_sum",
                             counted("calls", lattice_oracle.lattice_sum))
         start = time.perf_counter()
         volume_convergence_report(3, 0, 20)
         assert time.perf_counter() - start < 1.0
+        assert len(lattice_oracle._bases) == 6
         assert len(lattice_oracle._arrays) == 17
-        assert counts["products"] == 67
+        assert counts["products"] == 35
         assert counts["calls"] == 147
         volume_convergence_report(3, 0, 20)
-        assert counts["products"] == 67
+        assert counts["products"] == 35
+
+
+class TestSieveAndProducts:
+    def test_cost_arrays_equal_divisor_loops(self):
+        # N changes between calls (1, 64, 2, 63, ...), and each call must see its own N
+        for N in itertools.chain(*zip(range(1, 33), range(64, 32, -1))):
+            for m in range(13):
+                for parity in (-1, 0, 1):
+                    want = _reference_cost_array(m, N, None if parity < 0 else parity)
+                    assert lattice_oracle._cost_array(m, parity, N) == want, (m, parity, N)
+
+    @pytest.mark.parametrize(
+        "context",
+        [
+            decimal.Context(prec=50, traps=[decimal.Rounded, decimal.Inexact]),
+            # libmpdec's whole precision, but the default exponent range: a
+            # product of more than 10^6 digits does not fit
+            decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Rounded, decimal.Inexact]),
+        ],
+    )
+    def test_inexact_product_raises(self, monkeypatch, context):
+        lattice_sum((1,), 1)  # empties the memo
+        monkeypatch.setattr(lattice_oracle, "_CONTEXT", context)
+        with pytest.raises((decimal.Rounded, decimal.Inexact)):
+            lattice_sum((1, 1, 3), 10 ** 5, [[0, 1, 2]])
+
+    def test_large_N_value(self):
+        # operands of more than 10^6 digits
+        got = lattice_sum((1, 1, 3), 10 ** 5, [[0, 1, 2]])
+        assert got == 2179015143559138411718698177045010892
+
+    def test_slots_wider_than_the_int_digit_limit(self):
+        # a coefficient of the product of two cost arrays has over 4,300 digits
+        m = (4000, 4000, 4000)
+        assert lattice_sum(m, 4) == reference_lattice_sum(m, 4)
 
 
 class TestParityConstraints:

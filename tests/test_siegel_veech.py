@@ -69,6 +69,12 @@ class TestGraphSum:
     def test_table_values(self, gn, value):
         assert c_area_graphsum(*gn) == value
 
+    @pytest.mark.parametrize("route", [c_area_graphsum, c_area_boundary])
+    def test_empty_stratum_raises(self, route):
+        # Q(1, -1) is empty: the catalog at (1, 1) exists, a constant does not
+        with pytest.raises(ValueError, match="requires g >= 2"):
+            route(1, 1)
+
 
 def _reference_piece_factor(g, n):
     if (g, n) == (0, 3):
