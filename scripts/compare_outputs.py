@@ -37,7 +37,9 @@ ENTRY = "import sys; from mvq.cli import main; sys.exit(main())"
 # Siegel-Veech formula and the Lyapunov sum that reads it, both on the cut
 # enumerator that the edge recursion and the correlators share, then oracle
 # requests beyond the benchmark's: graphs with legs, a report at genus 4,
-# and monomial sums whose products pass 10^6 digits
+# and monomial sums whose products pass 10^6 digits, then the catalog and
+# both Siegel-Veech routes where canonical forms need the most refinement
+# rounds
 REQUESTS = (
     "volume 4 0",
     "volume 4 1 --per-cylinder",
@@ -84,6 +86,9 @@ REQUESTS = (
     "oracle count 4 0 --N 60",
     "oracle lattice --m 1,3 --N 1000 --parity 0,1",
     "oracle lattice --m 1,1,3 --N 100000 --parity 0,1,2",
+    "graphs 5 0",
+    "sv 5 0 --method both",
+    "sv 4 2 --method both",
 )
 
 GRAPHS = {

@@ -236,12 +236,13 @@ def cmd_oracle(args) -> int:
         parity = (
             [_parse_ints(c) for c in args.parity.split(";")] if args.parity else []
         )
-        val = lattice_oracle.lattice_sum(m, args.N, parity)
+        val = lattice_oracle.exact_str(lattice_oracle.lattice_sum(m, args.N, parity))
         norm = lattice_oracle.normalized_lattice_sum(m, args.N, parity)
         _emit(
             args,
             [f"sum = {val}", f"normalized = {_fmt_float(float(norm), args.digits)}"],
-            {"sum": str(val), "normalized": str(norm), "normalized_float": float(norm)},
+            {"sum": val, "normalized": lattice_oracle.exact_str(norm),
+             "normalized_float": float(norm)},
         )
         return 0
     report = lattice_oracle.volume_convergence_report(args.g, args.n, args.N)

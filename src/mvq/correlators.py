@@ -55,24 +55,24 @@ def _cuts(g: int, S: Tuple[int, ...]):
     whose entries form S1, doubled when the two sides differ."""
     runs = [(x, len(list(run))) for x, run in groupby(S)]
     excess = sum(S) - len(S)
-    for pick in _iproduct(*[range(c + 1) for _, c in runs]):
-        # room >= -1 means g_i >= ceil((sum(S_i) - |S_i| + 2)/3), so the
-        # genus range of a split reads only sum(S1) - |S1|; past g // 2 the
-        # sides would come swapped
-        excess1 = sum((x - 1) * k for (x, _), k in zip(runs, pick))
+    # room >= -1 means g_i >= ceil((sum(S_i) - |S_i| + 2)/3), so a split has
+    # genera only if sum(S1) - |S1| is in [excess - 3g + 2, 3 (g // 2) - 2]
+    # (past g // 2 the sides would come swapped); picks that cannot get there are cut
+    picks = [(0, 1, (), ())]  # excess of S1, weight, S1, S2
+    for r, (x, c) in enumerate(runs):
+        later = [(y - 1) * d for y, d in runs[r + 1 :]]
+        low = excess - 3 * g + 2 - sum(t for t in later if t > 0)
+        high = 3 * (g // 2) - 2 - sum(t for t in later if t < 0)
+        picks = [(e, w * comb(c, k), S1 + (x,) * k, S2 + (x,) * (c - k))
+                 for e1, w, S1, S2 in picks for k in range(c + 1)
+                 for e in [e1 + (x - 1) * k] if low <= e <= high]
+    for excess1, weight, S1, S2 in picks:
         lo = max(0, (excess1 + 4) // 3)
         hi = min(g // 2, g - max(0, (excess - excess1 + 4) // 3))
-        if lo > hi:
-            continue
-        weight = 1
-        S1 = S2 = ()
-        for (x, c), k in zip(runs, pick):
-            weight *= comb(c, k)
-            S1 += (x,) * k
-            S2 += (x,) * (c - k)
+        if 2 * hi == g and S1 > S2:
+            hi -= 1
         for g1 in range(lo, hi + 1):
-            if (g1, S1) <= (g - g1, S2):
-                yield g1, S1, g - g1, S2, weight * (1 if (g1, S1) == (g - g1, S2) else 2)
+            yield g1, S1, g - g1, S2, weight * (1 if (g1, S1) == (g - g1, S2) else 2)
 
 
 def _corr(g: int, d: Iterable[int]) -> Fraction:

@@ -115,6 +115,11 @@ def _cost_array(m: int, parity: int, N: int) -> List[int]:
     return _arrays[m, parity]
 
 
+def exact_str(x: int | Fraction) -> str:
+    """str(x), also past the interpreter's int-to-str digit limit, via Decimal."""
+    return "/".join([str(Decimal(p)) for p in x.as_integer_ratio()]).removesuffix("/1")
+
+
 def _product(a: List[int], b: List[int], N: int) -> List[int]:
     """Coefficients 0..N of a * b.  Both are packed as strings of w-digit
     slots, one per coefficient, read as decimal numbers and multiplied by
@@ -129,7 +134,7 @@ def _product(a: List[int], b: List[int], N: int) -> List[int]:
     if not limit or w <= limit:
         text, read = str, int
     else:
-        text, read = (lambda x: str(Decimal(x))), (lambda s: int(Decimal(s)))
+        text, read = exact_str, (lambda s: int(Decimal(s)))
     packed = [Decimal("".join([text(x).zfill(w) for x in reversed(c)])) for c in (a, b)]
     size = w * (N + 1)
     digits = str(_CONTEXT.multiply(*packed))[-size:].zfill(size)

@@ -116,34 +116,42 @@ class CatalogEntry(NamedTuple):
     canonical_key: bytes
 
 
-def _colors(graph: StableGraph, labeled: bool) -> List[Tuple]:
-    """(genus, leg labels) per vertex; unlabeled legs all carry the label 1."""
-    labels: List[List[int]] = [[] for _ in graph.genera]
-    for l, v in enumerate(graph.legs):
+def _ranks(keys: List) -> Tuple[Tuple[int, ...], int]:
+    """The rank of each key among the distinct keys, and their number."""
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return tuple([rank[key] for key in keys]), len(rank)
+
+
+@lru_cache(maxsize=4096)
+def _initial_colors(genera: tuple, legs: tuple, labeled: bool) -> Tuple[Tuple[int, ...], int]:
+    """_ranks of the reprs of (genus, leg labels), unlabeled legs labeled 1;
+    cached, as walks and labeled expansions repeat most (genera, legs)."""
+    labels: List[List[int]] = [[] for _ in genera]
+    for l, v in enumerate(legs):
         labels[v].append(l + 1 if labeled else 1)
-    return [(gv, tuple(ls)) for gv, ls in zip(graph.genera, labels)]
+    return _ranks([repr((gv, tuple(ls))) for gv, ls in zip(genera, labels)])
 
 
-def _refined_colors(graph: StableGraph, labeled: bool) -> List[str]:
-    """Iterated color refinement: start from (genus, legs) and fold in the
-    multiset of neighbor colors until no class splits or every vertex has
-    its own color.  Each color is the repr of the nested tuple (previous
-    color, sorted neighbor colors), built as a string from the previous
-    round's strings."""
+def _refined_colors(graph: StableGraph, labeled: bool) -> Tuple[Tuple[int, ...], int]:
+    """Color refinement from _initial_colors: each round ranks (own color,
+    sorted neighbor colors) until no class splits or every vertex has its own
+    color; returns the colors and their number.  A last entry V after fewer
+    than two neighbors orders the ranks as the reprs of the nested tuples
+    would: "(c,)" sorts after every longer tuple that starts with c, and a
+    proper prefix of two or more entries sorts first."""
     V = graph.num_vertices
-    colors = list(map(repr, _colors(graph, labeled)))
-    classes = len(set(colors))
+    neigh: List[List[int]] = [[] for _ in range(V)]
+    for i, j in graph.edges:
+        neigh[i].append(j)
+        neigh[j].append(i)
+    colors, classes = _initial_colors(tuple(graph.genera), tuple(graph.legs), labeled)
     while classes < V:
-        neigh: List[List[str]] = [[] for _ in range(V)]
-        for i, j in graph.edges:
-            neigh[i].append(colors[j])
-            neigh[j].append(colors[i])
-        new = ["(%s, %r)" % (colors[v], tuple(sorted(neigh[v]))) for v in range(V)]
-        split = len(set(new))
+        near = [sorted(map(colors.__getitem__, ns)) for ns in neigh]
+        new, split = _ranks([(c, *a) if len(a) > 1 else (c, *a, V) for c, a in zip(colors, near)])
         if split == classes:
             break
         colors, classes = new, split
-    return colors
+    return colors, classes
 
 
 def _canonicalize(graph: StableGraph, labeled: bool = False) -> Tuple[bytes, int, StableGraph]:
@@ -151,11 +159,10 @@ def _canonicalize(graph: StableGraph, labeled: bool = False) -> Tuple[bytes, int
     ``labeled``, legs are unlabeled: the canonical legs are sorted and the
     automorphisms also permute the legs at each vertex."""
     V = graph.num_vertices
-    colors = _refined_colors(graph, labeled)
-    order = sorted(range(V), key=colors.__getitem__)
-    blocks = [list(b) for _, b in groupby(order, key=colors.__getitem__)]
-    # with one vertex per color block, the color order is the only candidate
-    perm, stab = (order, 1) if len(blocks) == V else _search(graph, blocks)
+    colors, classes = _refined_colors(graph, labeled)
+    perm, stab = sorted(range(V), key=colors.__getitem__), 1
+    if classes < V:  # with one vertex per color, the color order is the only candidate
+        perm, stab = _search(graph, [list(b) for _, b in groupby(perm, key=colors.__getitem__)])
     pos = [0] * V
     for new, old in enumerate(perm):
         pos[old] = new

@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, compress
+from itertools import chain, combinations
 from math import gcd, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
-from .correlators import _cuts, _room, correlator
+from .correlators import _corr, _cuts, _room, correlator
 from .exact_arith import ExactnessError, PiRational, factorial, zeta_even
 from .stable_graphs import CatalogEntry, StableGraph, aut_order, enumerate_graphs
 
@@ -23,14 +23,13 @@ from .stable_graphs import CatalogEntry, StableGraph, aut_order, enumerate_graph
 Poly = Dict[Tuple[int, ...], Fraction]
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _compositions(total: int, parts: int) -> List[Tuple[int, ...]]:
+    """The tuples of `parts` integers >= 0 with sum `total`, in lexicographic
+    order: the gaps between parts - 1 bars among total + parts - 1 places."""
+    if not parts:
+        return [()] if total == 0 else []
+    return [tuple([b - a - 1 for a, b in zip((-1,) + bars, bars + (total + parts - 1,))])
+            for bars in combinations(range(total + parts - 1), parts - 1)]
 
 
 @lru_cache(maxsize=None)
@@ -43,8 +42,7 @@ def _vertex_factor(
     2^(5g-6+2n) prod d_i!, that is D!/prod d_i! (an integer) over D! 2^(5g-6+2n)."""
     n = legs + ends
     D = 3 * g - 3 + n
-    corr = {d: correlator(g, (0,) * legs + d) for d in _compositions(D, ends)}
-    corr = {d: c for d, c in corr.items() if c}
+    corr = {d: c for d in _compositions(D, ends) if (c := _corr(g, (0,) * legs + d))}
     cden = lcm(*(c.denominator for c in corr.values()))
     den = cden * 2 ** (5 * g - 6 + 2 * n) * factorial(D)
     nums = {d: c.numerator * (cden // c.denominator) * factorial(D) // prod(map(factorial, d))
@@ -62,14 +60,13 @@ def kontsevich_poly(g: int, n: int) -> Poly:
     return {expo: Fraction(num, den) for expo, num in terms}
 
 
-def _graph_numerators(graph: StableGraph) -> Tuple[int, Dict[Tuple[int, ...], int]]:
-    """raw_graph_polynomial(graph) as integer numerators over one denominator.
-    The vertex factors are multiplied one at a time with each exponent vector
-    packed into one integer, `width` bits per edge, so that multiplying two
-    monomials adds their keys."""
+def _graph_numerators(graph: StableGraph) -> Tuple[int, Tuple[int, int, Dict[int, int]]]:
+    """raw_graph_polynomial(graph) as integer numerators over one denominator:
+    (den, (top, E, terms)), each exponent vector (none above top) packed in one
+    int key, top.bit_length() bits per edge, so monomials multiply by adding keys."""
     E = graph.num_edges
-    # no exponent exceeds 1 + the degree of prod_v N_{g_v, n_v}
-    width = (6 * graph.genus - 5 + 2 * graph.num_legs - 2 * E).bit_length()
+    top = 6 * graph.genus - 5 + 2 * graph.num_legs - 2 * E  # 1 + the degree of prod_v N_{g_v, n_v}
+    width = top.bit_length()
     # incident edge indices per vertex, loops listed twice
     incident: List[List[int]] = [[] for _ in graph.genera]
     for idx, (i, j) in enumerate(graph.edges):
@@ -84,9 +81,7 @@ def _graph_numerators(graph: StableGraph) -> Tuple[int, Dict[Tuple[int, ...], in
             for k2, c2 in factor:
                 product[k1 + k2] += c1 * c2
         poly, den = product, den * vden
-    mask = (1 << width) - 1
-    shifts = [width * e for e in range(E)]
-    return den, {tuple([k >> s & mask for s in shifts]): c for k, c in poly.items()}
+    return den, (top, E, poly)
 
 
 @lru_cache(maxsize=None)
@@ -108,8 +103,10 @@ def raw_graph_polynomial(graph: StableGraph) -> Poly:
     graph without any combinatorial prefactor, one variable per edge.  Vertex
     factors are evaluated with leg variables set to zero and loop edges
     appearing twice."""
-    den, poly = _graph_numerators(graph)
-    return {expo: Fraction(num, den) for expo, num in poly.items()}
+    den, (top, E, poly) = _graph_numerators(graph)
+    width, mask = top.bit_length(), (1 << top.bit_length()) - 1
+    return {tuple([key >> (width * e) & mask for e in range(E)]): Fraction(num, den)
+            for key, num in poly.items()}
 
 
 def _shared_prefactor(g: int, n: int) -> Fraction:
@@ -148,35 +145,45 @@ def _zeta_numerators(top: int) -> Tuple[int, Tuple[int, ...]]:
     return den, tuple(int(_zeta_factor(m) * den) if m % 2 else 0 for m in range(top + 1))
 
 
-def op_Z(
-    poly: Dict[Tuple[int, ...], int | Fraction], weights: Sequence[int] | None = None
-) -> PiRational:
+def op_Z(poly: Poly | tuple, weights: Sequence[int] | None = None) -> PiRational:
     """Replace each monomial prod b_e^{m_e} by prod m_e! zeta(m_e + 1); if
     weights are given, also weight it by the sum of weights[e] over the edges e
-    in which it is linear.  Coefficients may be integers or rationals.
+    in which it is linear.  Coefficients may be integers or rationals; poly is
+    packed as _graph_numerators packs it, or keyed by exponent tuples.
 
     Every exponent must be odd so that only even zeta values appear, and
     every monomial must have the same sum(m_e + 1), the power of pi that
     factors out of the whole sum.  The zeta factors are integers over one lcm."""
-    zden, znum = _zeta_numerators(max(chain.from_iterable(poly), default=0))
-    total = 0
-    shape = None  # the power of pi and the number of variables
-    for expo, coeff in poly.items():
-        z = 1 if weights is None else sum(compress(weights, map((1).__eq__, expo)))
+    if isinstance(poly, dict):
+        top = max(chain.from_iterable(poly), default=0)
+        poly = top, max(map(len, poly), default=0), {
+            sum(m << (top.bit_length() * e) for e, m in enumerate(expo)): coeff
+            for expo, coeff in poly.items()}
+    top, E, terms = poly
+    if weights is not None and len(weights) != E:
+        raise ValueError(f"{len(weights)} weights for {E} variables")
+    zden, znum = _zeta_numerators(top)
+    width, mask = top.bit_length(), (1 << top.bit_length()) - 1
+    slots, base = ((0,) * E, 1) if weights is None else (weights, 0)  # unweighted: z = 1
+    total, degree = 0, None  # degree: sum(m_e), the same for every monomial
+    for key, coeff in terms.items():
+        zeta, z, deg, rest = 1, base, 0, key
+        for w in slots:
+            m, rest = rest & mask, rest >> width
+            zeta *= znum[m]
+            deg += m
+            if m == 1:
+                z += w
         if not z:
             continue
-        here = (sum(expo) + len(expo), len(expo))
-        if shape is None:
-            shape = here
-        elif here != shape:
-            raise ExactnessError("polynomial mixes (pi power, variables) %s and %s" % (shape, here))
-        zeta = prod(map(znum.__getitem__, expo))
+        if degree not in (None, deg):
+            raise ExactnessError(f"polynomial mixes pi powers {degree + E} and {deg + E}")
+        degree = deg
         if not zeta:  # znum is 0 exactly at the even exponents
-            m = next(m for m in expo if m % 2 == 0)
+            m = next(m for e in range(E) for m in [key >> (width * e) & mask] if m % 2 == 0)
             raise ExactnessError(f"even exponent {m} in zeta evaluation")
         total += coeff * z * zeta
-    pi_power, E = shape or (0, 0)
-    return PiRational(Fraction(total, zden**E), pi_power)
+    return PiRational(Fraction(total, zden**E), 0 if degree is None else degree + E)
 
 
 def op_Y(poly: Poly, H: Sequence):

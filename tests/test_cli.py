@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface."""
 import json
 import time
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 
+from mvq import lattice_oracle
 from mvq.cli import main
 
 
@@ -210,6 +213,19 @@ class TestOracle:
     def test_count(self, capsys):
         code, out, _ = run(capsys, "oracle", "count", "1", "2", "--N", "200")
         assert code == 0
+
+    def test_lattice_sum_past_the_int_digit_limit(self, capsys):
+        # the normalized sum's denominator 4^12003 has over 4,300 digits, past
+        # what str() of an int takes by default
+        m = "4000,4000,4000"
+        code, out, _ = run(capsys, "--json", "oracle", "lattice", "--m", m, "--N", "4")
+        assert code == 0
+        payload = json.loads(out)
+        want = lattice_oracle.lattice_sum((4000,) * 3, 4)
+        assert int(Decimal(payload["sum"])) == want
+        num, den = (int(Decimal(x)) for x in payload["normalized"].split("/"))
+        assert den == 4 ** 12003 // gcd(want, 4 ** 12003)
+        assert Fraction(num, den) == lattice_oracle.normalized_lattice_sum((4000,) * 3, 4)
 
 
 class TestBoundary:

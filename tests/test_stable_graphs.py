@@ -177,10 +177,41 @@ def _walked_graphs(monkeypatch, g, n):
     return seen
 
 
-def _full_refined_colors(graph, labeled):
-    """Color refinement that always builds the round after the last split."""
+def _string_colors(graph, labeled):
+    """Round 0 of the string refinement: the repr of (genus, leg labels) per
+    vertex, unlabeled legs all labeled 1."""
+    labels = [[] for _ in graph.genera]
+    for l, v in enumerate(graph.legs):
+        labels[v].append(l + 1 if labeled else 1)
+    return [repr((gv, tuple(ls))) for gv, ls in zip(graph.genera, labels)]
+
+
+def _string_refined_colors(graph, labeled):
+    """The color refinement that integer ranks replaced: each color is the
+    repr of the nested tuple (previous color, sorted neighbor colors), built
+    from the previous round's strings, until no class splits or every vertex
+    has its own color."""
     V = graph.num_vertices
-    colors = list(map(repr, stable_graphs._colors(graph, labeled)))
+    colors = _string_colors(graph, labeled)
+    classes = len(set(colors))
+    while classes < V:
+        neigh = [[] for _ in range(V)]
+        for i, j in graph.edges:
+            neigh[i].append(colors[j])
+            neigh[j].append(colors[i])
+        new = ["(%s, %r)" % (colors[v], tuple(sorted(neigh[v]))) for v in range(V)]
+        split = len(set(new))
+        if split == classes:
+            break
+        colors, classes = new, split
+    return colors
+
+
+def _full_refined_colors(graph, labeled):
+    """String color refinement that always builds the round after the last
+    split."""
+    V = graph.num_vertices
+    colors = _string_colors(graph, labeled)
     for _ in range(V):
         neigh = [[] for _ in range(V)]
         for i, j in graph.edges:
@@ -191,6 +222,12 @@ def _full_refined_colors(graph, labeled):
             break
         colors = new
     return colors
+
+
+def _order_and_ties(colors):
+    """The vertices sorted by color, cut into runs of equal color."""
+    order = sorted(range(len(colors)), key=colors.__getitem__)
+    return [list(b) for _, b in groupby(order, key=colors.__getitem__)]
 
 
 def _searched_canonical_form(graph, labeled):
@@ -237,10 +274,57 @@ def _searched_canonical_form(graph, labeled):
     return repr((genera, edges, legs)).encode(), aut, StableGraph(genera, edges, legs)
 
 
+# graphs of the (5,0) walk whose colors take five or six rounds past round 0
+# to settle, so that the string colors nest quotes in quotes and escape them
+# in runs of 7 or 15 backslashes
+DEEP_REFINEMENTS = [
+    StableGraph((0,) * 6, ((0, 0), (0, 1), (1, 2), (1, 2), (2, 3), (3, 4), (3, 4), (4, 5),
+                           (5, 5), (5, 5)), ()),
+    StableGraph((0,) * 6, ((0, 0), (0, 1), (1, 2), (1, 3), (2, 4), (2, 4), (3, 3), (3, 5),
+                           (4, 5), (5, 5)), ()),
+    StableGraph((0,) * 6, ((0, 0), (0, 2), (1, 2), (1, 3), (1, 3), (2, 4), (3, 4), (4, 5),
+                           (5, 5), (5, 5)), ()),
+    StableGraph((0,) * 7, ((0, 0), (0, 1), (1, 2), (1, 2), (2, 3), (3, 4), (3, 4), (4, 5),
+                           (5, 6), (5, 6), (6, 6)), ()),
+    StableGraph((0,) * 7, ((0, 0), (0, 2), (1, 2), (1, 3), (1, 3), (2, 4), (3, 4), (4, 5),
+                           (5, 6), (5, 6), (6, 6)), ()),
+    StableGraph((0,) * 7, ((0, 0), (0, 2), (1, 2), (1, 3), (1, 3), (2, 4), (3, 5), (4, 5),
+                           (4, 6), (5, 6), (6, 6)), ()),
+    StableGraph((0,) * 7, ((0, 1), (0, 1), (0, 2), (1, 5), (2, 4), (2, 4), (3, 4), (3, 4),
+                           (3, 5), (5, 6), (6, 6)), ()),
+    StableGraph((0,) * 7 + (1,), ((0, 1), (0, 1), (0, 2), (1, 4), (2, 3), (2, 4), (3, 5),
+                                  (3, 5), (4, 6), (5, 7), (6, 6)), ()),
+    StableGraph((0,) * 7 + (1,), ((0, 1), (0, 1), (0, 2), (1, 4), (2, 3), (2, 5), (3, 4),
+                                  (3, 5), (4, 6), (5, 7), (6, 6)), ()),
+    StableGraph((0,) * 7 + (1,), ((0, 1), (0, 1), (0, 3), (1, 2), (2, 5), (2, 5), (3, 4),
+                                  (3, 4), (4, 7), (5, 6), (6, 6)), ()),
+    StableGraph((0,) * 6 + (1, 0), ((0, 1), (0, 1), (0, 3), (1, 2), (2, 5), (2, 5), (3, 4),
+                                    (3, 4), (4, 7), (5, 6), (7, 7)), ()),
+    StableGraph((0,) * 6 + (1, 1), ((0, 1), (0, 1), (0, 3), (1, 2), (2, 4), (2, 6), (3, 4),
+                                    (3, 5), (4, 7), (5, 5)), ()),
+    StableGraph((0,) * 5 + (1, 0, 1), ((0, 1), (0, 1), (0, 3), (1, 2), (2, 4), (2, 6), (3, 4),
+                                       (3, 5), (4, 7), (6, 6)), ()),
+]
+
+
+def _check_canonical_form(graph, labeled):
+    """Integer color ranks order and tie the vertices as the string rounds
+    do, with or without the round after the last split, and the canonical
+    form equals the full search's."""
+    colors, classes = stable_graphs._refined_colors(graph, labeled)
+    ties = _order_and_ties(colors)
+    assert len(ties) == classes
+    assert ties == _order_and_ties(_string_refined_colors(graph, labeled))
+    assert ties == _order_and_ties(_full_refined_colors(graph, labeled))
+    assert stable_graphs._canonicalize(graph, labeled) == (
+        _searched_canonical_form(graph, labeled)
+    )
+
+
 class TestCanonicalizeReference:
     """Refinement and search stop once their answer is known; every graph
-    that three walks canonicalize gets the same colors and canonical form
-    as from the full rounds and the full search."""
+    that three walks canonicalize gets the same vertex order, ties and
+    canonical form as from the full string rounds and the full search."""
 
     @pytest.mark.parametrize("g,n", [(3, 2), (2, 4), (4, 0)])
     def test_walked_graphs(self, monkeypatch, g, n):
@@ -248,12 +332,13 @@ class TestCanonicalizeReference:
         assert graphs
         for graph in graphs:
             for labeled in (False, True):
-                colors = stable_graphs._refined_colors(graph, labeled)
-                full = _full_refined_colors(graph, labeled)
-                assert colors == full
-                assert stable_graphs._canonicalize(graph, labeled) == (
-                    _searched_canonical_form(graph, labeled)
-                )
+                _check_canonical_form(graph, labeled)
+
+    def test_colors_with_escaped_quotes(self):
+        for graph in DEEP_REFINEMENTS:
+            assert graph.genus == 5 and graph.is_connected()
+            assert "\\" * 7 in "".join(_string_refined_colors(graph, False))
+            _check_canonical_form(graph, False)
 
 
 def _reference_search(graph, blocks):
@@ -400,6 +485,13 @@ class TestCanonicalForm:
             perm = list(range(len(graph.genera)))
             rng.shuffle(perm)
             assert aut_order(_relabel(graph, perm)) == entry.aut_order
+
+    def test_graph_built_from_lists(self):
+        """A StableGraph whose fields are lists canonicalizes as its tuple twin."""
+        for entry in enumerate_graphs(2, 1):
+            graph = StableGraph(*map(list, entry.graph))
+            assert canonical_key(graph) == entry.canonical_key
+            assert aut_order(graph) == entry.aut_order
 
 
 class TestEdgeOperations:

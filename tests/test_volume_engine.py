@@ -14,7 +14,7 @@ from mvq.correlators import correlator
 from mvq.exact_arith import PiRational, factorial, zeta_even
 from mvq.multicurve_stats import b_gn, cylinder_distribution
 from mvq.siegel_veech import c_area_boundary
-from mvq.stable_graphs import StableGraph, enumerate_graphs
+from mvq.stable_graphs import StableGraph, bridges, enumerate_graphs
 from mvq.volume_engine import (
     graph_polynomial,
     kontsevich_poly,
@@ -115,6 +115,27 @@ class TestOperators:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "raised"
+
+    def test_packed_and_tuple_input_agree(self):
+        """op_Z of a graph's packed numerators equals op_Z of the same terms
+        with exponent tuples, unweighted and with two weight vectors, on every
+        graph of (3, 2)."""
+        graphs = [entry.graph for entry in enumerate_graphs(3, 2) if entry.graph.edges]
+        assert len(graphs) == 1354
+        for graph in graphs:
+            _, packed = volume_engine._graph_numerators(graph)
+            top, E, terms = packed
+            width, mask = top.bit_length(), (1 << top.bit_length()) - 1
+            tuples = {tuple(k >> (width * e) & mask for e in range(E)): c for k, c in terms.items()}
+            assert len(tuples) == len(terms)
+            cut = bridges(graph)
+            for weights in (None, [1 if e in cut else 2 for e in range(E)], list(range(1, E + 1))):
+                assert op_Z(packed, weights) == op_Z(tuples, weights), (graph, weights)
+
+    def test_z_operator_rejects_weights_of_wrong_length(self):
+        for weights in ([1], [1, 1, 1]):
+            with pytest.raises(ValueError):
+                op_Z({(1, 1): 1}, weights)
 
     def test_y_operator(self):
         # b^3 with height H maps to 3!/H^4
