@@ -39,7 +39,8 @@ ENTRY = "import sys; from mvq.cli import main; sys.exit(main())"
 # requests beyond the benchmark's: graphs with legs, a report at genus 4,
 # and monomial sums whose products pass 10^6 digits, then the catalog and
 # both Siegel-Veech routes where canonical forms need the most refinement
-# rounds
+# rounds, then both routes where legs far outnumber edges, and a normalized
+# lattice sum far below the float range
 REQUESTS = (
     "volume 4 0",
     "volume 4 1 --per-cylinder",
@@ -89,6 +90,9 @@ REQUESTS = (
     "graphs 5 0",
     "sv 5 0 --method both",
     "sv 4 2 --method both",
+    "sv 1 6 --method both",
+    "sv 0 8 --method both",
+    "oracle lattice --m 4000,4000,4000 --N 4",
 )
 
 GRAPHS = {

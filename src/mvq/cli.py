@@ -30,6 +30,25 @@ def _fmt_float(x: float, digits: int) -> str:
     return f"{x:.{digits}g}"
 
 
+def _approx(x: Fraction, digits: int) -> tuple:
+    """float(x) and its text with ``digits`` significant digits.  A nonzero x
+    past the float range has no float (None, null in JSON), and its text is
+    the same scientific notation read from x itself."""
+    try:
+        approx = float(x)  # 0.0 on underflow
+        if approx or not x:
+            return approx, _fmt_float(approx, digits)
+    except OverflowError:
+        pass
+    # from a bit-length estimate, step the exponent e until |x| / 10^e rounds
+    # to a mantissa of exactly ``digits`` digits
+    e = int((x.numerator.bit_length() - x.denominator.bit_length()) * math.log10(2)) - digits + 1
+    while not 10 ** (digits - 1) <= (mant := round(abs(x) / Fraction(10) ** e)) < 10**digits:
+        e += 1 if mant >= 10**digits else -1
+    text = f"{str(mant)[0]}.{str(mant)[1:]}".rstrip("0").rstrip(".")
+    return None, f"{'-' * (x < 0)}{text}e{e + digits - 1:+03d}"
+
+
 def _emit(args, text_lines: List[str], payload: Dict[str, Any]) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -238,11 +257,12 @@ def cmd_oracle(args) -> int:
         )
         val = lattice_oracle.exact_str(lattice_oracle.lattice_sum(m, args.N, parity))
         norm = lattice_oracle.normalized_lattice_sum(m, args.N, parity)
+        approx, text = _approx(norm, args.digits)
         _emit(
             args,
-            [f"sum = {val}", f"normalized = {_fmt_float(float(norm), args.digits)}"],
+            [f"sum = {val}", f"normalized = {text}"],
             {"sum": val, "normalized": lattice_oracle.exact_str(norm),
-             "normalized_float": float(norm)},
+             "normalized_float": approx},
         )
         return 0
     report = lattice_oracle.volume_convergence_report(args.g, args.n, args.N)
@@ -251,7 +271,7 @@ def cmd_oracle(args) -> int:
     for row in report.rows:
         lines.append(
             f"  genera={list(row.graph.genera)} edges={list(row.graph.edges)} "
-            f"estimate={_fmt_float(float(row.estimate), args.digits)} "
+            f"estimate={_approx(row.estimate, args.digits)[1]} "
             f"exact={row.exact} rel_error={_fmt_float(row.rel_error, 3)}"
         )
         rows.append(
@@ -263,7 +283,7 @@ def cmd_oracle(args) -> int:
             }
         )
     lines.append(
-        f"total estimate={_fmt_float(float(report.total_estimate), args.digits)} "
+        f"total estimate={_approx(report.total_estimate, args.digits)[1]} "
         f"exact={report.total_exact} rel_error={_fmt_float(report.total_rel_error, 3)}"
     )
     _emit(

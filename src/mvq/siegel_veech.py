@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Dict
+from functools import lru_cache
+from math import prod
+from typing import Dict, Tuple
 
 from .correlators import _cuts
 from .exact_arith import PiRational, factorial
-from .stable_graphs import bridges, unlabeled_graphs
-from .volume_engine import _graph_numerators, _shared_prefactor, masur_veech_volume, op_Z
+from .stable_graphs import bridges, skeletons
+from .volume_engine import _compositions, _incidence, _shared_prefactor, _vertex_product
+from .volume_engine import masur_veech_volume, op_Z
 
 
 def _stratum_volume(g: int, n: int) -> PiRational:
@@ -28,26 +31,41 @@ def _stratum_volume(g: int, n: int) -> PiRational:
     return volume
 
 
+@lru_cache(maxsize=None)
+def _leg_counts(genera: tuple, valences: tuple, n: int) -> Tuple[Tuple[tuple, int], ...]:
+    """The leg counts l_v >= max(0, 3 - 2 g_v - valence_v) with sum n that
+    make a skeleton a stable graph, each with its weight n!/prod l_v!."""
+    need = [max(0, 3 - 2 * gv - nv) for gv, nv in zip(genera, valences)]
+    counts = [tuple(a + b for a, b in zip(need, extra))
+              for extra in _compositions(n - sum(need), len(need))]
+    return tuple((legs, factorial(n) // prod(map(factorial, legs))) for legs in counts)
+
+
 def c_area_graphsum(g: int, n: int) -> Fraction:
     """(pi^2/3) * c_area computed from the stable-graph catalog: the sum over
     graphs of op_Z of the terms of graph_polynomial(graph) linear in an edge,
     weighted 1/2 for a bridge and 1 otherwise, divided by the volume.  A
     graph's term reads only how many legs sit at each vertex, so the sum runs
-    over the catalog with unlabeled legs, times n!."""
+    over the leg-free skeletons S and their leg counts l_v: the labeled
+    graphs over S are the Aut(S)-orbits of the n!/prod l_v! leg maps, so the
+    pair weighs n!/prod l_v! over |Aut S|."""
     volume = _stratum_volume(g, n)
-    # each graph's term without the prefactor that all graphs share, as an
+    # each pair's term without the prefactor that all graphs share, as an
     # integer numerator summed under its denominator
     sums: Dict[int, int] = defaultdict(int)
-    for entry in unlabeled_graphs(g, n):
-        graph = entry.graph
+    for entry in skeletons(g, n):
+        genera, edges, _ = graph = entry.graph
+        incident = _incidence(graph)
         # twice the weights, so that they are integers
         cut = bridges(graph)
-        weights = [1 if e in cut else 2 for e in range(graph.num_edges)]
-        den, poly = _graph_numerators(graph)
-        z = op_Z(poly, weights).rational(volume.pi_power)
-        sums[(z.denominator * den * entry.aut_order) << (graph.num_vertices - 1)] += z.numerator
+        weights = [1 if e in cut else 2 for e in range(len(edges))]
+        scale = entry.aut_order << (len(genera) - 1)
+        for legs, weight in _leg_counts(genera, tuple(map(len, incident)), n):
+            den, poly = _vertex_product(genera, legs, incident)
+            z = op_Z(poly, weights).rational(volume.pi_power)
+            sums[z.denominator * den * scale] += z.numerator * weight
     total = sum(Fraction(num, den) for den, num in sums.items())
-    return total * _shared_prefactor(g, n) * factorial(n) / volume.coeff / 2
+    return total * _shared_prefactor(g, n) / volume.coeff / 2
 
 
 def _vol_q(g: int, n: int) -> PiRational:

@@ -6,6 +6,13 @@ h^1 + sum of vertex genera equals g and every vertex satisfies
 2 g_v - 2 + n_v > 0, where n_v counts incident half-edges (loops twice).
 The catalog is enumerated once with unlabeled legs, a leg count per vertex
 (``unlabeled_graphs``); ``enumerate_graphs`` expands it into labeled legs.
+The same degeneration walk, started from a vertex without legs and allowed
+deficits max(0, 3 - 2 g_v - n_v) summing to at most n, gives the leg-free
+``skeletons``.  A graph of (g, n) is a skeleton S with l_v legs at each
+vertex, at least its deficit; the labeled graphs over S are the Aut(S)-orbits
+of the leg maps, so each vector l weighs n!/prod l_v! over |Aut S|.  (2,4)
+has 284 skeletons for 683 unlabeled and 5,608 labeled graphs, (3,2) 537 for
+918 and 1,355.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ __all__ = [
     "CatalogEntry",
     "enumerate_graphs",
     "unlabeled_graphs",
+    "skeletons",
     "aut_order",
     "bridges",
 ]
@@ -231,21 +239,29 @@ def canonical_key(graph: StableGraph) -> bytes:
     return _canonicalize(graph, labeled=True)[0]
 
 
-def _degenerations(graph: StableGraph) -> Iterator[Tuple[StableGraph, Edge]]:
+def _degenerations(graph: StableGraph, budget: int) -> Iterator[Tuple[StableGraph, Edge]]:
     """The graphs with one more edge that contract to ``graph`` (legs
-    unlabeled), each with its new edge: a loop at a vertex of positive genus,
-    or a vertex split in two stable sides joined by the new edge, the second
-    side becoming the last vertex.  Splits that keep a loop are skipped: a
-    loop outranks the new edge in ``_is_largest_edge``, so those children
-    would be dropped."""
+    unlabeled), each with its new edge, whose deficits max(0, 3 - 2 g_v - n_v)
+    sum to at most ``budget``: a loop at a vertex of positive genus, or a
+    vertex split in two sides joined by the new edge, the second side becoming
+    the last vertex.  Splits that keep a loop are skipped: a loop outranks the
+    new edge in ``_is_largest_edge``, so those children would be dropped."""
     genera, edges, legs = graph
     V = len(genera)
     loops = [i for i, j in edges if i == j]
+    valence = graph.valences()
+    deficits = [max(0, 3 - 2 * gv - nv) for gv, nv in zip(genera, valence)]
+    spare = budget - sum(deficits)
     for v, gv in enumerate(genera):
         if gv > 0:
             child = genera[:v] + (gv - 1,) + genera[v + 1 :]
             yield StableGraph(child, tuple(sorted(edges + ((v, v),))), legs), (v, v)
-        if any(u != v for u in loops):
+        h = valence[v]
+        # the sides' deficits max(0, 2 - 2 g1 - h + moved) and
+        # max(0, 2 - 2 (gv - g1) - moved) sum to at most room iff each of them
+        # and 4 - 2 gv - h, the sum of the two arguments, is at most room
+        room = spare + deficits[v]
+        if 4 - 2 * gv - h > room or any(u != v for u in loops):
             continue
         # every loop at v joins the two sides; each edge end at v goes to
         # either side, and any number of its legs moves; the first edge end
@@ -258,15 +274,12 @@ def _degenerations(graph: StableGraph) -> Iterator[Tuple[StableGraph, Edge]]:
         ]
         rest = [w for w in legs if w != v]
         c = len(legs) - len(rest)
-        h = 2 * lv + len(ends) + c
         kept, ends = 0 if ends else min(c, 1), ends[1:]
         for size, s in product(range(len(ends) + 1), range(c - kept + 1)):
             moved = lv + size + s  # half-edges on the new side
             # genus g1 stays and gv - g1 moves; each side also gets the new edge
-            splits = [
-                g1 for g1 in range(gv + 1)
-                if 2 * g1 + h - moved >= 2 and 2 * (gv - g1) + moved >= 2
-            ]
+            splits = range(max(0, (3 - h + moved - room) // 2),
+                           min(gv, gv + (room + moved - 2) // 2) + 1)
             split_legs = tuple(sorted(rest + [v] * (c - s))) + (V,) * s
             for subset in combinations(ends, size) if splits else ():
                 new_edges = base + [(v, V)]
@@ -301,33 +314,52 @@ def _is_largest_edge(graph: StableGraph, edge: Edge) -> bool:
     return all(color(e) <= top for e in edges)
 
 
-@lru_cache(maxsize=None)
-def unlabeled_graphs(g: int, n: int) -> Tuple[CatalogEntry, ...]:
-    """Like ``enumerate_graphs``, but with unlabeled legs: ``legs`` is sorted
-    and |Aut| also permutes the legs at each vertex, so n! times the sum of
-    1/|Aut| is the labeled sum.  At n <= 1 labels change nothing, and
-    ``enumerate_graphs(g, n)`` returns this catalog as it is.
-
-    Level k holds the graphs with k edges.  Contracting a largest-colored
-    edge of such a graph gives a graph of level k - 1, so every class of
-    level k is a degeneration of a level k - 1 representative whose new edge
-    is largest-colored; only those children are canonicalized."""
-    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
-        raise ValueError("unstable (g, n) = (%d, %d)" % (g, n))
-    key, aut, canon = _canonicalize(StableGraph((g,), (), (0,) * n))
+def _walk(root: StableGraph, budget: int) -> Tuple[CatalogEntry, ...]:
+    """The degeneration walk from ``root``.  Level k holds the graphs with k
+    edges.  Contracting an edge never raises the total deficit, and a
+    largest-colored one leads to level k - 1, so every class of level k is a
+    degeneration of a level k - 1 representative whose new edge is
+    largest-colored; only those children are canonicalized."""
+    key, aut, canon = _canonicalize(root)
     level = [CatalogEntry(canon, aut, key)]
     catalog: List[CatalogEntry] = []
     while level:
         catalog.extend(level)
         seen: Dict[bytes, CatalogEntry] = {}
         for entry in level:
-            for child, edge in _degenerations(entry.graph):
+            for child, edge in _degenerations(entry.graph, budget):
                 if _is_largest_edge(child, edge):
                     key, aut, canon = _canonicalize(child)
                     if key not in seen:
                         seen[key] = CatalogEntry(canon, aut, key)
         level = sorted(seen.values(), key=lambda e: e.canonical_key)
     return tuple(catalog)
+
+
+def _check_stable(g: int, n: int) -> None:
+    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise ValueError("unstable (g, n) = (%d, %d)" % (g, n))
+
+
+@lru_cache(maxsize=None)
+def unlabeled_graphs(g: int, n: int) -> Tuple[CatalogEntry, ...]:
+    """Like ``enumerate_graphs``, but with unlabeled legs: ``legs`` is sorted
+    and |Aut| also permutes the legs at each vertex, so n! times the sum of
+    1/|Aut| is the labeled sum.  At n <= 1 labels change nothing, and
+    ``enumerate_graphs(g, n)`` returns this catalog as it is.  The walk
+    starts from one vertex with n legs, and every vertex stays stable."""
+    _check_stable(g, n)
+    return _walk(StableGraph((g,), (), (0,) * n), 0)
+
+
+@lru_cache(maxsize=None)
+def skeletons(g: int, n: int) -> Tuple[CatalogEntry, ...]:
+    """The leg-free graphs of genus g whose vertices lack at most n legs in
+    all to be stable.  The classes of ``unlabeled_graphs(g, n)`` are the pairs
+    of a skeleton and a leg count per vertex, at least its deficit, up to the
+    skeleton's automorphisms.  At n = 0 this is ``unlabeled_graphs(g, 0)``."""
+    _check_stable(g, n)
+    return _walk(StableGraph((g,), (), ()), n) if n else unlabeled_graphs(g, 0)
 
 
 @lru_cache(maxsize=None)

@@ -60,28 +60,42 @@ def kontsevich_poly(g: int, n: int) -> Poly:
     return {expo: Fraction(num, den) for expo, num in terms}
 
 
-def _graph_numerators(graph: StableGraph) -> Tuple[int, Tuple[int, int, Dict[int, int]]]:
-    """raw_graph_polynomial(graph) as integer numerators over one denominator:
-    (den, (top, E, terms)), each exponent vector (none above top) packed in one
-    int key, top.bit_length() bits per edge, so monomials multiply by adding keys."""
-    E = graph.num_edges
-    top = 6 * graph.genus - 5 + 2 * graph.num_legs - 2 * E  # 1 + the degree of prod_v N_{g_v, n_v}
-    width = top.bit_length()
-    # incident edge indices per vertex, loops listed twice
+def _incidence(graph: StableGraph) -> List[Tuple[int, ...]]:
+    """The incident edge indices per vertex, loops listed twice."""
     incident: List[List[int]] = [[] for _ in graph.genera]
     for idx, (i, j) in enumerate(graph.edges):
         incident[i].append(idx)
         incident[j].append(idx)
+    return [tuple(edges) for edges in incident]
+
+
+def _vertex_product(
+    genera: Sequence[int], legs: Sequence[int], incident: Sequence[Tuple[int, ...]]
+) -> Tuple[int, Tuple[int, int, Dict[int, int]]]:
+    """prod_e b_e * prod_v N_{g_v, legs_v + ends_v}, the ends of vertex v at
+    the edges incident[v], as integer numerators over one denominator: (den,
+    (top, E, terms)), each exponent vector (none above top, 1 + the degree of
+    prod_v N) packed in one int key, top.bit_length() bits per edge, so
+    monomials multiply by adding keys."""
+    E = sum(map(len, incident)) // 2
+    top = 6 * (sum(genera) - len(genera)) + 2 * sum(legs) + 4 * E + 1
+    width = top.bit_length()
     den = 1
     poly = {sum(1 << (width * e) for e in range(E)): 1}  # the product over edges of b_e
-    for v, gv in enumerate(graph.genera):
-        vden, factor = _placed_factor(gv, graph.legs.count(v), tuple(incident[v]), width)
+    for gv, lv, ends in zip(genera, legs, incident):
+        vden, factor = _placed_factor(gv, lv, ends, width)
         product: Dict[int, int] = defaultdict(int)
         for k1, c1 in poly.items():
             for k2, c2 in factor:
                 product[k1 + k2] += c1 * c2
         poly, den = product, den * vden
     return den, (top, E, poly)
+
+
+def _graph_numerators(graph: StableGraph) -> Tuple[int, Tuple[int, int, Dict[int, int]]]:
+    """raw_graph_polynomial(graph) packed as _vertex_product packs it."""
+    legs = [graph.legs.count(v) for v in range(graph.num_vertices)]
+    return _vertex_product(graph.genera, legs, _incidence(graph))
 
 
 @lru_cache(maxsize=None)

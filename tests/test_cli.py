@@ -1,7 +1,7 @@
 """End-to-end tests of the command-line interface."""
 import json
 import time
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 
@@ -226,6 +226,23 @@ class TestOracle:
         num, den = (int(Decimal(x)) for x in payload["normalized"].split("/"))
         assert den == 4 ** 12003 // gcd(want, 4 ** 12003)
         assert Fraction(num, den) == lattice_oracle.normalized_lattice_sum((4000,) * 3, 4)
+
+
+    def test_normalized_sum_past_the_float_range(self, capsys):
+        # the normalized sum is near 10^-6022, where float() gives 0.0: JSON
+        # has no float for it, and the text reads its digits from the exact sum
+        m = "4000,4000,4000"
+        code, out, _ = run(capsys, "--json", "oracle", "lattice", "--m", m, "--N", "4")
+        assert code == 0
+        assert json.loads(out)["normalized_float"] is None
+        code, out, _ = run(capsys, "oracle", "lattice", "--m", m, "--N", "4")
+        assert code == 0
+        norm = lattice_oracle.normalized_lattice_sum((4000,) * 3, 4)
+        with localcontext() as ctx:
+            ctx.prec = 30
+            want = Decimal(norm.numerator) / Decimal(norm.denominator)
+        assert f"normalized = {want:.6g}\n" in out
+        assert "e-6022" in out
 
 
 class TestBoundary:

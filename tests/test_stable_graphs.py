@@ -19,8 +19,10 @@ from mvq.stable_graphs import (
     canonical_key,
     bridges,
     enumerate_graphs,
+    skeletons,
     unlabeled_graphs,
 )
+from mvq.volume_engine import _compositions
 
 
 # (g, n) -> (number of stable graphs, sum of 1/|Aut|), recorded with the
@@ -160,6 +162,57 @@ class TestUnlabeledCatalog:
             calls[0] = 0
             catalog = unlabeled_graphs.__wrapped__(g, n)
             assert calls[0] <= 2 * len(catalog), (g, n, calls[0])
+
+
+# (g, n) -> number of leg-free skeletons, the edgeless one included
+SKELETON_COUNTS = {(3, 2): 537, (2, 4): 284, (3, 3): 1727, (1, 6): 75, (0, 8): 12,
+                   (1, 5): 35, (0, 7): 7}
+
+
+def _leg_counts(skeleton, n):
+    """The leg counts per vertex that make the skeleton a stable graph of
+    (g, n): each at least the vertex's deficit."""
+    need = [max(0, 3 - 2 * gv - nv) for gv, nv in zip(skeleton.genera, skeleton.valences())]
+    return [[a + b for a, b in zip(need, extra)]
+            for extra in _compositions(n - sum(need), len(need))]
+
+
+class TestSkeletons:
+    def test_counts(self):
+        for (g, n), count in SKELETON_COUNTS.items():
+            catalog = skeletons(g, n)
+            assert len(catalog) == count, (g, n)
+            for entry in catalog:
+                assert entry.graph.legs == () and entry.graph.genus == g
+                assert _leg_counts(entry.graph, n), (g, n, entry.graph)
+
+    def test_no_legs_is_the_unlabeled_catalog(self):
+        for g in (2, 3, 4):
+            assert skeletons(g, 0) is unlabeled_graphs(g, 0)
+
+    @pytest.mark.parametrize("g,n", [(2, 4), (0, 8), (1, 5), (3, 1)])
+    def test_legs_on_skeletons_give_the_unlabeled_catalog(self, g, n):
+        keys = set()
+        for entry in skeletons(g, n):
+            genera, edges, _ = entry.graph
+            for legs in _leg_counts(entry.graph, n):
+                placed = tuple(v for v, count in enumerate(legs) for _ in range(count))
+                graph = StableGraph(genera, edges, placed)
+                keys.add(stable_graphs._canonicalize(graph)[0])
+        assert keys == {e.canonical_key for e in unlabeled_graphs(g, n)}
+
+    @pytest.mark.parametrize("g,n", sorted(SKELETON_COUNTS) + [(4, 1)])
+    def test_orbit_stabilizer_mass(self, g, n):
+        # the labeled graphs over a skeleton S are the Aut(S)-orbits of its
+        # n! / prod l_v! leg maps per leg-count vector l
+        mass = sum(Fraction(factorial(n) // prod(map(factorial, legs)), entry.aut_order)
+                   for entry in skeletons(g, n) for legs in _leg_counts(entry.graph, n))
+        assert mass == factorial(n) * sum(Fraction(1, e.aut_order) for e in unlabeled_graphs(g, n))
+
+    def test_unstable_rejected(self):
+        for g, n in ((0, 2), (1, 0), (-1, 4), (2, -1)):
+            with pytest.raises(ValueError):
+                skeletons(g, n)
 
 
 def _walked_graphs(monkeypatch, g, n):

@@ -1,4 +1,5 @@
 """Tests for the moduli-space volume engine."""
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from mvq import volume_engine
+from mvq.asymptotics import vol_delta, vol_gamma1_exact
 from mvq.correlators import correlator
 from mvq.exact_arith import PiRational, factorial, zeta_even
 from mvq.multicurve_stats import b_gn, cylinder_distribution
@@ -336,6 +338,29 @@ class TestEdgeRecursion:
             k: pr(Fraction(q), 36) for k, q in enumerate(VOL_7_0_PARTS, 1)
         }
         assert rep.total == pr(Fraction(2988444945587149, 111891468210577735680000), 36)
+
+
+    def test_per_cylinder_parts_are_pinned(self):
+        """One SHA-256 over the exact k-cylinder parts of every stratum of
+        dimension 6g - 6 + 2n <= 32 but (0, 3), so that no rewrite of the
+        recursion's inner loops changes a digit unnoticed."""
+        strata = [(g, n) for g in range(7) for n in range(20)
+                  if 2 * g - 2 + n > 0 and 6 * g - 6 + 2 * n <= 32 and (g, n) != (0, 3)]
+        assert len(strata) == 72
+        lines = "".join("%d %d %d %s %d\n" % (g, n, k, v.coeff, v.pi_power)
+                        for g, n in strata
+                        for k, v in sorted(masur_veech_volume(g, n).per_cylinder_count.items()))
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "40f81ba117a57780d878d02259456396cd73e3d4d99ffd778198118922b7de45")
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_one_cylinder_part_is_one_loop_plus_separating_edges(self, g):
+        """At n = 0 the one-edge graphs are the loop at a genus g - 1 vertex
+        and the separating edges between genera g1 and g - g1."""
+        want = vol_gamma1_exact(g)
+        for g1 in range(1, g // 2 + 1):
+            want = want + vol_delta(g1, g - g1)
+        assert masur_veech_volume(g, 0).per_cylinder_count[1] == want
 
 
 class TestPolynomialStructure:
