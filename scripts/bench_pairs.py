@@ -4,18 +4,21 @@
         --pairs 10 --seed 31 --seconds 30
 
 PARENT and CHANGE are two source checkouts, each with its own ``bench/`` and
-``src/mvq``.  Both ``src/`` trees are byte-compiled first, so that a request
-does not recompile an uncompiled or stale tree when ``PYTHONDONTWRITEBYTECODE``
-is set.  Pair i runs seed SEED + i on both sides, the parent first when i is
-even and the change first when it is odd.  Every end-to-end metric that the
-parent's ``BENCHMARK.json`` declares is printed per pair, then its medians,
-the parent's quartiles and the number of pairs that the change wins.
+``src/mvq``.  Any ``__pycache__`` under either ``src/`` tree is deleted first,
+and ``bench/run.py`` runs with ``PYTHONDONTWRITEBYTECODE=1``, so that every
+request compiles the modules it imports, as in a fresh checkout.  Pair i
+runs seed SEED + i on both sides, the parent first when i is even and the
+change first when it is odd.  Every end-to-end metric that the parent's
+``BENCHMARK.json`` declares is printed per pair, then its medians, the
+parent's quartiles and the number of pairs that the change wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -27,7 +30,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``bench/run.py`` run in ``tree``: its final JSON line."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True).stdout
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
+                         check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
@@ -49,8 +54,8 @@ def main(argv=None) -> int:
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in sides.values():
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree,
-                       check=True, stdout=subprocess.DEVNULL)
+        for cache in (tree / "src").rglob("__pycache__"):
+            shutil.rmtree(cache)
     spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = spec["end_to_end"]
 

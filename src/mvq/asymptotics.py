@@ -141,15 +141,20 @@ def vol_delta(g1: int, g2: int) -> PiRational:
     return coeff * zeta_even(6 * g - 6)
 
 
-def sep_nonsep_ratio(g: int) -> Tuple[Fraction, float]:
+def sep_nonsep_ratio(g: int) -> Tuple[Fraction, Fraction]:
     """Exact and leading-order asymptotic ratio between the total separating
     and the non-separating one-edge contributions in genus g."""
     total = PiRational.zero()
     for g1 in range(1, g // 2 + 1):
         total = total + vol_delta(g1, g - g1)
     ratio = (total / vol_gamma1_exact(g)).rational(0)
-    asym = math.sqrt(2 / (3 * math.pi * g)) / 4 ** g
-    return ratio, asym
+    return ratio, sep_nonsep_asymptotic(g)
+
+
+def sep_nonsep_asymptotic(g: int) -> Fraction:
+    """sqrt(2/(3 pi g)) / 4^g: the float square root over the exact 4^g, a
+    Fraction that neither overflows nor underflows where a float would."""
+    return Fraction(math.sqrt(2 / (3 * math.pi * g))) / 4 ** g
 
 
 def sum_binomial_products(g: int) -> int:

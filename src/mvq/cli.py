@@ -15,14 +15,10 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
-from . import (
-    asymptotics,
-    lattice_oracle,
-    multicurve_stats,
-    siegel_veech,
-    volume_engine,
-)
-from .exact_arith import PiRational
+# bench/tracer.py's Tracer.install looks these layers up in sys.modules right
+# after ``import mvq.cli``; asymptotics and multicurve_stats load on first use
+from . import correlators, lattice_oracle, siegel_veech, stable_graphs, volume_engine  # noqa: F401
+from .exact_arith import _PI_60, IndeterminateError, PiRational
 from .stable_graphs import StableGraph, enumerate_graphs
 
 
@@ -30,16 +26,19 @@ def _fmt_float(x: float, digits: int) -> str:
     return f"{x:.{digits}g}"
 
 
-def _approx(x: Fraction, digits: int) -> tuple:
-    """float(x) and its text with ``digits`` significant digits.  A nonzero x
-    past the float range has no float (None, null in JSON), and its text is
-    the same scientific notation read from x itself."""
+def _approx(x, digits: int) -> tuple:
+    """float(x) and its text with ``digits`` significant digits, for a Fraction
+    or a PiRational x.  A nonzero x past the float range has no float (None,
+    null in JSON), and its text is the same scientific notation read from x
+    itself, a PiRational's with pi to 60 digits."""
     try:
-        approx = float(x)  # 0.0 on underflow
-        if approx or not x:
+        approx = float(x)  # 0.0 on underflow, a PiRational's +-inf on overflow
+        if approx and math.isfinite(approx) or x == 0:  # a zero PiRational has pi^0
             return approx, _fmt_float(approx, digits)
     except OverflowError:
         pass
+    if isinstance(x, PiRational):
+        x = x.coeff * _PI_60 ** x.pi_power
     # from a bit-length estimate, step the exponent e until |x| / 10^e rounds
     # to a mantissa of exactly ``digits`` digits
     e = int((x.numerator.bit_length() - x.denominator.bit_length()) * math.log10(2)) - digits + 1
@@ -145,6 +144,7 @@ def cmd_lyapunov(args) -> int:
 
 
 def cmd_freq(args) -> int:
+    from . import multicurve_stats
     obj = _load_graph(args.multicurve)
     graph = StableGraph.from_json(obj)
     weights = obj.get("weights", [1] * graph.num_edges)
@@ -155,6 +155,7 @@ def cmd_freq(args) -> int:
 
 
 def cmd_pk(args) -> int:
+    from . import multicurve_stats
     dist = multicurve_stats.cylinder_distribution(args.g, args.n)
     lines = [f"p_{k} = {v}" for k, v in sorted(dist.items())]
     _emit(args, lines, {str(k): str(v) for k, v in sorted(dist.items())})
@@ -162,6 +163,7 @@ def cmd_pk(args) -> int:
 
 
 def cmd_expect(args) -> int:
+    from . import multicurve_stats
     obj = _load_graph(args.graph)
     graph = StableGraph.from_json(obj)
     num = _parse_ints(args.num)
@@ -183,6 +185,7 @@ def cmd_expect(args) -> int:
 
 
 def cmd_agk(args) -> int:
+    from . import asymptotics
     seq = asymptotics.agk_by_recursion(args.g)
     lines = [f"a_{{{args.g},{k}}} = {v}" for k, v in enumerate(seq.values)]
     _emit(args, lines, {"g": args.g, "values": [str(v) for v in seq.values]})
@@ -190,21 +193,21 @@ def cmd_agk(args) -> int:
 
 
 def cmd_harmonic(args) -> int:
+    from . import asymptotics
     if args.kind == "H":
         val = asymptotics.harmonic_H(args.k, args.m)
-        # PiRational's float gives +-inf, not OverflowError, past the float range
-        exact, approx = str(val), float(PiRational(val))
+        exact = str(val)
     else:
         val = asymptotics.harmonic_Z(args.k, args.m)
-        exact, approx = val.to_json(), float(val)
-    text = f"{args.kind}_{args.k}({args.m}) = {val} ≈ {_fmt_float(approx, args.digits)}"
-    # JSON has no infinity: a value beyond the float range has "float": null
-    payload = {"value": exact, "float": approx if math.isfinite(approx) else None}
-    _emit(args, [text], payload)
+        exact = val.to_json()
+    approx, text = _approx(val, args.digits)
+    _emit(args, [f"{args.kind}_{args.k}({args.m}) = {val} ≈ {text}"],
+          {"value": exact, "float": approx})
     return 0
 
 
 def cmd_coeffs(args) -> int:
+    from . import asymptotics
     sc = asymptotics.series_coeffs(args.max_j)
     lines = []
     for j in range(args.max_j + 1):
@@ -218,6 +221,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_poisson(args) -> int:
+    from . import asymptotics
     if args.kmax < 1:
         raise ValueError(f"--kmax must be at least 1, got {args.kmax}")
     model = asymptotics.poisson_model(args.g)
@@ -237,14 +241,13 @@ def cmd_poisson(args) -> int:
 
 
 def cmd_sep_ratio(args) -> int:
+    from . import asymptotics
     exact, asym = asymptotics.sep_nonsep_ratio(args.g)
+    approx, text = _approx(asym, args.digits)
     _emit(
         args,
-        [
-            f"separating/non-separating exact = {exact}",
-            f"asymptotic = {_fmt_float(asym, args.digits)}",
-        ],
-        {"exact": str(exact), "asymptotic": asym},
+        [f"separating/non-separating exact = {exact}", f"asymptotic = {text}"],
+        {"exact": str(exact), "asymptotic": approx},
     )
     return 0
 
@@ -300,6 +303,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check_all(args) -> int:
+    from . import asymptotics, multicurve_stats
     checks: List[tuple] = []
 
     def check(name, got, want):
@@ -477,7 +481,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # OSError: a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, multicurve_stats.IndeterminateError) else 1
+        return 2 if isinstance(exc, IndeterminateError) else 1
 
 
 if __name__ == "__main__":

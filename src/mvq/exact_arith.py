@@ -10,6 +10,7 @@ from typing import Tuple
 
 __all__ = [
     "ExactnessError",
+    "IndeterminateError",
     "PiRational",
     "bernoulli",
     "zeta_even",
@@ -22,6 +23,12 @@ __all__ = [
 class ExactnessError(ValueError, AssertionError):
     """An exact result failed an invariant the formulas guarantee, such as
     its power of pi.  Raised explicitly, so ``python -O`` keeps the check."""
+
+
+class IndeterminateError(ValueError):
+    """The requested ratio is indeterminate: 0/0 on a graph with no edge, a
+    sum of convergent and divergent series, or a negative exponent after the
+    shift.  ``mvq`` exits 2 on it, where other ValueErrors exit 1."""
 
 
 def bernoulli(n: int) -> Fraction:

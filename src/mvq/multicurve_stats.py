@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .exact_arith import PiRational, factorial, zeta_even
+from .exact_arith import IndeterminateError, PiRational, factorial, zeta_even
 from .stable_graphs import StableGraph
 from .volume_engine import (
     Poly,
@@ -29,12 +29,6 @@ class Multicurve(NamedTuple):
 
     def validate(self) -> None:
         _check_heights(self.graph, self.weights, "weights")
-
-
-class IndeterminateError(ValueError):
-    """The requested ratio is indeterminate: 0/0 on a graph with no edge, a
-    sum of convergent and divergent series, or a negative exponent after the
-    shift.  ``mvq`` exits 2 on it, where other ValueErrors exit 1."""
 
 
 def _check_edges(graph: StableGraph, vec: Sequence, name: str) -> None:

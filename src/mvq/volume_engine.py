@@ -234,21 +234,19 @@ def _propagator(a: int, b: int) -> Fraction:
     return 2 * _zeta_factor(2 * a + 2 * b + 1) / (factorial(a) * factorial(b))
 
 
-def _add(sums: Dict[int, List[int]], den: int, scale: int, vec: Sequence[int], k0: int):
-    """sums[den][k0 + k] += scale * vec[k] for each k."""
-    row = sums[den]
-    for k, w in enumerate(vec, k0):
-        row[k] += scale * w
-
-
 def _vector(sums: Dict[int, List[int]], divisors: Sequence[int]) -> Vector:
     """sum over d of sums[d] / d, with entry k divided by divisors[k], over
-    one reduced denominator."""
-    den = lcm(*sums) * lcm(*divisors)
-    nums = [sum(row[k] * (den // d // q) for d, row in sums.items())
-            for k, q in enumerate(divisors)]
-    common = gcd(den, *nums)
-    return den // common, tuple(x // common for x in nums)
+    one reduced denominator.  Each row is scaled once, its zeros skipped."""
+    den, nums = lcm(*sums), [0] * len(divisors)
+    for d, row in sums.items():
+        scale = den // d
+        for k, w in enumerate(row):
+            if w:
+                nums[k] += w * scale
+    q = lcm(*divisors)
+    nums = [x * (q // d) for x, d in zip(nums, divisors)]
+    common = gcd(den * q, *nums)
+    return den * q // common, tuple(x // common for x in nums)
 
 
 @lru_cache(maxsize=None)
@@ -261,13 +259,13 @@ def _wick(g: int, S: Tuple[int, ...]) -> Vector:
     top = _room(g, S)
     if top < 0 or 2 * g - 2 + len(S) <= 0:
         return 1, ()
-    sums: Dict[int, List[int]] = defaultdict(lambda: [0] * (top + 1))
-    if S:
-        c = correlator(g, S)
-        sums[c.denominator][0] = c.numerator
+    c = correlator(g, S) if S else Fraction(0)  # k = 0: the graph with no edge
+    sums: Dict[int, List[int]] = {c.denominator: [c.numerator] + [0] * top}  # den -> row
     for b in range(top if g >= 1 else 0):  # the marked edge does not separate
         den, vec = _contracted(g - 1, tuple(sorted(S + (b,))), b)
-        _add(sums, den, 1, vec, 1)
+        row = sums.get(den) or sums.setdefault(den, [0] * (top + 1))
+        for k, w in enumerate(vec, 1):
+            row[k] += w
     # the split sum runs over the cuts whose two sides can each hold a graph
     # with an end of the marked edge; such a side is also stable, so no
     # recursion into an unstable one starts
@@ -275,7 +273,7 @@ def _wick(g: int, S: Tuple[int, ...]) -> Vector:
         for b in range(_room(g2, S2) + 2):
             den_r, right = _wick(g2, tuple(sorted(S2 + (b,))))
             den_l, left = _contracted(g1, S1, b)
-            row = sums[den_l * den_r]
+            row = sums.get(den_l * den_r) or sums.setdefault(den_l * den_r, [0] * (top + 1))
             for i, v in enumerate(left, 1):
                 if v:
                     v *= pair
@@ -289,11 +287,13 @@ def _contracted(g: int, S: Tuple[int, ...], b: int) -> Vector:
     """sum_a P(a, b) W(g, S+{a})[i] for each i: the propagator of a cut edge
     summed over one of its ends once per (g, S, b), not once per split."""
     size = _room(g, S) + 2
-    sums: Dict[int, List[int]] = defaultdict(lambda: [0] * size)
+    sums: Dict[int, List[int]] = {}
     for a in range(size):
         p = _propagator(a, b)
         den, vec = _wick(g, tuple(sorted(S + (a,))))
-        _add(sums, p.denominator * den, p.numerator, vec, 0)
+        row = sums.get(p.denominator * den) or sums.setdefault(p.denominator * den, [0] * size)
+        for k, w in enumerate(vec):
+            row[k] += p.numerator * w
     return _vector(sums, [1] * size)
 
 

@@ -23,6 +23,7 @@ from mvq.asymptotics import (
     poisson_lambda,
     poisson_model,
     rpq,
+    sep_nonsep_asymptotic,
     sep_nonsep_ratio,
     series_checks,
     series_coeffs,
@@ -110,6 +111,17 @@ class TestSeparatingContribution:
     def test_ratio_approaches_asymptotic_form(self):
         exact, asym = sep_nonsep_ratio(40)
         assert abs(float(exact) / asym - 1) < 0.02
+
+    def test_asymptotic_form_past_the_float_range(self):
+        # the float 4^g overflows from g = 512 on, and the quotient underflows
+        # a few genera later
+        for g in (512, 560, 5000):
+            asym = sep_nonsep_asymptotic(g)
+            log = math.log(asym.numerator) - math.log(asym.denominator)
+            want = 0.5 * math.log(2 / (3 * math.pi * g)) - g * math.log(4)
+            assert log == pytest.approx(want, rel=1e-14), g
+        for g in (2, 40, 500):  # in range it is the float quotient itself
+            assert float(sep_nonsep_asymptotic(g)) == math.sqrt(2 / (3 * math.pi * g)) / 4 ** g
 
     def test_binomial_sum_asymptotics(self):
         g = 200

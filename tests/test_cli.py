@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line interface."""
 import json
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import mpmath
 import pytest
 
 from mvq import lattice_oracle
 from mvq.cli import main
+from mvq.multicurve_stats import cylinder_distribution
 
 
 def run(capsys, *argv):
@@ -186,10 +191,10 @@ class TestAsymptotics:
     def test_harmonic_at_k_2000_is_quick(self, capsys):
         _, doc = self.harmonic(capsys, "H", 2000, 2003)
         assert doc == {"value": str(self.h_plus_3(2000)), "float": float(self.h_plus_3(2000))}
-        # Z_2000(2003) is about 10^432, past the float range
+        # Z_2000(2003) is about 10^440, past the float range
         text, doc = self.harmonic(capsys, "Z", 2000, 2003)
         assert doc == {"value": {"coeff": str(self.z_plus_3(2000)), "pi_power": 4006}, "float": None}
-        assert text.endswith("≈ inf")
+        assert text.endswith("≈ 9.44697e+439")
 
     def test_sep_ratio(self, capsys):
         code, out, _ = run(capsys, "sep-ratio", "3")
@@ -452,3 +457,25 @@ class TestGraphsAndChecks:
         code, out, _ = run(capsys, "check-all")
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+
+def test_layers_load_where_they_are_used():
+    """``import mvq`` loads no layer; ``import mvq.cli`` loads the layers that
+    bench/tracer.py wraps, and the statistics layers only with their commands."""
+    code = (
+        "import json, sys\n"
+        "def loaded():\n    return sorted(m for m in sys.modules if m.startswith('mvq.'))\n"
+        "import mvq\nbare = loaded()\nimport mvq.cli\nprint(json.dumps([bare, loaded()]))\n"
+        "mvq.cli.main(['--json', 'pk', '2', '0'])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    modules, payload = out.stdout.splitlines()
+    bare, with_cli = json.loads(modules)
+    assert bare == []
+    traced = ("correlators", "stable_graphs", "volume_engine", "siegel_veech", "lattice_oracle")
+    assert {f"mvq.{m}" for m in ("exact_arith",) + traced} <= set(with_cli)
+    assert not {"mvq.asymptotics", "mvq.multicurve_stats"} & set(with_cli)
+    assert json.loads(payload) == {str(k): str(v) for k, v in cylinder_distribution(2, 0).items()}

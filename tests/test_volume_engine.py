@@ -5,7 +5,7 @@ import subprocess
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -256,9 +256,27 @@ VOL_7_0_PARTS = (
 
 # The edge recursion with the split loop it had before the genus range was
 # cut to the sides that can hold a graph: every g1 whose two sides are
-# stable.  Each memo is a plain dict so that a test can list what it reached.
+# stable, and with its earlier row updates and lcm sum.  Each memo is a plain
+# dict so that a test can list what it reached.
 _REF_WICK = {}
 _REF_CONTRACTED = {}
+
+
+def _add(sums, den, scale, vec, k0):
+    """sums[den][k0 + k] += scale * vec[k] for each k."""
+    row = sums[den]
+    for k, w in enumerate(vec, k0):
+        row[k] += scale * w
+
+
+def _vector(sums, divisors):
+    """sum over d of sums[d] / d, with entry k divided by divisors[k], over
+    one reduced denominator, entry by entry."""
+    den = lcm(*sums) * lcm(*divisors)
+    nums = [sum(row[k] * (den // d // q) for d, row in sums.items())
+            for k, q in enumerate(divisors)]
+    common = gcd(den, *nums)
+    return den // common, tuple(x // common for x in nums)
 
 
 def _reference_wick(g, S):
@@ -274,7 +292,7 @@ def _reference_wick(g, S):
         sums[c.denominator][0] = c.numerator
     for b in range(top if g >= 1 else 0):
         den, vec = _reference_contracted(g - 1, tuple(sorted(S + (b,))), b)
-        volume_engine._add(sums, den, 1, vec, 1)
+        _add(sums, den, 1, vec, 1)
     for S1, S2, weight in _splits(S):
         for g1 in range(g + 1):
             g2 = g - g1
@@ -286,8 +304,8 @@ def _reference_wick(g, S):
                 den_l, left = _reference_contracted(g1, S1, b)
                 for i, v in enumerate(left, 1):
                     if v:
-                        volume_engine._add(sums, den_l * den_r, pair * v, right, i)
-    val = volume_engine._vector(sums, [max(2 * k, 1) for k in range(top + 1)])
+                        _add(sums, den_l * den_r, pair * v, right, i)
+    val = _vector(sums, [max(2 * k, 1) for k in range(top + 1)])
     _REF_WICK[g, S] = val
     return val
 
@@ -299,8 +317,8 @@ def _reference_contracted(g, S, b):
         for a in range(size):
             p = volume_engine._propagator(a, b)
             den, vec = _reference_wick(g, tuple(sorted(S + (a,))))
-            volume_engine._add(sums, p.denominator * den, p.numerator, vec, 0)
-        _REF_CONTRACTED[g, S, b] = volume_engine._vector(sums, [1] * size)
+            _add(sums, p.denominator * den, p.numerator, vec, 0)
+        _REF_CONTRACTED[g, S, b] = _vector(sums, [1] * size)
     return _REF_CONTRACTED[g, S, b]
 
 
