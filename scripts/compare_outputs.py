@@ -40,7 +40,9 @@ ENTRY = "import sys; from mvq.cli import main; sys.exit(main())"
 # and monomial sums whose products pass 10^6 digits, then the catalog and
 # both Siegel-Veech routes where canonical forms need the most refinement
 # rounds, then both routes where legs far outnumber edges, and a normalized
-# lattice sum far below the float range
+# lattice sum far below the float range, then the one-loop volume read from
+# the two-point sequence, and an expectation given heights past the float
+# range (the parent ends in an OverflowError there)
 REQUESTS = (
     "volume 4 0",
     "volume 4 1 --per-cylinder",
@@ -93,6 +95,8 @@ REQUESTS = (
     "sv 1 6 --method both",
     "sv 0 8 --method both",
     "oracle lattice --m 4000,4000,4000 --N 4",
+    "sep-ratio 120",
+    "expect --graph {theta} --num 400,0,0 --den 0,0,0 --heights 1,1,1",
 )
 
 GRAPHS = {
@@ -103,6 +107,7 @@ GRAPHS = {
         "weights": [1, 2],
     },
     "two_loops": {"vertices": [{"genus": 0}], "edges": [[0, 0], [0, 0]], "legs": []},
+    "theta": {"vertices": [{"genus": 0}, {"genus": 0}], "edges": [[0, 1]] * 3, "legs": []},
 }
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
-from .correlators import bracket_factor, epsilon_d, max_bracket
+from .correlators import epsilon_d
 from .exact_arith import (
     _PI_60,
     PiRational,
@@ -79,12 +79,6 @@ def agk_from_correlators(g: int) -> AgkSequence:
     return AgkSequence(g, tuple(1 + epsilon_d(g, (k, 3 * g - 1 - k)) for k in range(3 * g)))
 
 
-def two_point_correlator(g: int, k: int) -> Fraction:
-    """<tau_k tau_{3g-1-k}>_g recovered from the a_{g,k} recursion."""
-    a = agk_by_recursion(g).values[k]
-    return a * max_bracket(g, 2) / bracket_factor(g, (k, 3 * g - 1 - k))
-
-
 def rpq(g: int, j: int) -> Tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
     """(R, P1, P2, P3, Q): the factored form of the difference formula."""
     R = Fraction(binomial(3 * g, 3 * j) * binomial(g, j), binomial(6 * g, 6 * j))
@@ -100,16 +94,18 @@ def rpq(g: int, j: int) -> Tuple[Fraction, Fraction, Fraction, Fraction, Fractio
 
 def vol_gamma1_exact(g: int) -> PiRational:
     """Exact volume contribution of the one-vertex one-loop stable graph in
-    genus g, via the 2-point correlators of genus g-1."""
+    genus g, via the 2-point correlators of genus h = g-1: summed over k,
+    <tau_k tau_{3h-1-k}>_h / (k! (3h-1-k)!) is a_{h,k} C(6h, 2k+1) over
+    6h (3h-1)! 24^h h!, the a_{h,k} over one common denominator."""
     if g < 2:
         raise ValueError("need g >= 2")
     h = g - 1
-    S = Fraction(0)
-    for d1 in range(3 * h - 1 + 1):
-        d2 = 3 * h - 1 - d1
-        S += two_point_correlator(h, d1) / (factorial(d1) * factorial(d2))
-    S /= 2 ** (5 * g - 7)
-    return (2 ** (6 * g - 6) * factorial(4 * g - 4) * S) * zeta_even(6 * g - 6)
+    a = agk_by_recursion(h).values
+    den = math.lcm(*(x.denominator for x in a))
+    num = sum(x.numerator * (den // x.denominator) * binomial(6 * h, 2 * k + 1)
+              for k, x in enumerate(a))
+    S = Fraction(num, den * 6 * h * factorial(3 * h - 1) * 24 ** h * factorial(h))
+    return (2 ** (g + 1) * factorial(4 * g - 4) * S) * zeta_even(6 * g - 6)
 
 
 def vol_gamma1_asymptotic(g: int) -> float:

@@ -175,12 +175,10 @@ def cmd_expect(args) -> int:
     if val is sympy.oo:
         _emit(args, ["E = +inf"], {"value": "inf"})
         return 0
-    fval = float(val) if isinstance(val, Fraction) else float(val.evalf(20))
-    _emit(
-        args,
-        [f"E = {val} = {_fmt_float(fval, args.digits)}"],
-        {"value": str(val), "float": fval},
-    )
+    # a symbolic value is read to 20 digits, exactly as a binary fraction
+    approx, text = _approx(val if isinstance(val, Fraction)
+                           else Fraction(str(sympy.Rational(val.evalf(20)))), args.digits)
+    _emit(args, [f"E = {val} = {text}"], {"value": str(val), "float": approx})
     return 0
 
 

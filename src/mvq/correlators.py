@@ -1,16 +1,16 @@
 """Intersection numbers of psi classes and their normalized variants.
 
-The correlator <tau_{d_1} ... tau_{d_n}>_g is computed by the
-Virasoro/DVV recursion on the largest index, with the string and dilaton
-equations used to strip indices 0 and 1 first.  Everything is memoized on
-(g, sorted d) and exact.
+The correlator <tau_{d_1} ... tau_{d_n}>_g is B(g, d) / prod (2d_i+1)!!,
+where the bracket B comes from one Virasoro/DVV recursion on the smallest
+index, the string and dilaton equations included.  The brackets are memoized
+on (g, sorted d) and exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby, product as _iproduct
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .exact_arith import double_factorial
@@ -18,7 +18,6 @@ from .exact_arith import double_factorial
 __all__ = [
     "correlator",
     "one_point_closed_form",
-    "bracket_factor",
     "normalized_bracket",
     "max_bracket",
     "epsilon_d",
@@ -53,6 +52,8 @@ def _cuts(g: int, S: Tuple[int, ...]):
     room for one end of the cut edge: _room(g_i, S_i) >= -1, so each side
     with its end is stable.  weight counts the subsets of the positions of S
     whose entries form S1, doubled when the two sides differ."""
+    if _room(g, S) < 1:  # the two sides' rooms add to _room(g, S) - 3
+        return
     runs = [(x, len(list(run))) for x, run in groupby(S)]
     excess = sum(S) - len(S)
     # room >= -1 means g_i >= ceil((sum(S_i) - |S_i| + 2)/3), so a split has
@@ -75,9 +76,15 @@ def _cuts(g: int, S: Tuple[int, ...]):
             yield g1, S1, g - g1, S2, weight * (1 if (g1, S1) == (g - g1, S2) else 2)
 
 
-def _corr(g: int, d: Iterable[int]) -> Fraction:
-    """<tau_d>_g, zero for unstable (g, n) or off the dimension constraint;
-    memoized on (g, d sorted descending)."""
+def _bracket(g: int, d: Iterable[int]) -> Fraction:
+    """B(g, d) = prod (2 d_i + 1)!! <tau_d>_g for d >= 0, zero for unstable
+    (g, n) or off the dimension constraint; memoized on (g, d sorted
+    descending).  With k the smallest index and S the others, the Virasoro
+    constraint on tau_k has integer coefficients in this normalization:
+    B(g; k, S) = sum_j (2 x_j + 1) B(g; S with x_j -> x_j + k - 1)
+    + 1/2 sum_{a+b=k-2} [B(g-1; S, a, b) + sum over cuts of B(g1; S1, a) B(g2; S2, b)],
+    a term with a negative index being 0.  At k = 0 and k = 1 this is the
+    string and the dilaton equation."""
     d = tuple(sorted(d, reverse=True))
     n = len(d)
     if not _stable(g, n) or sum(d) != 3 * g - 3 + n:
@@ -85,47 +92,41 @@ def _corr(g: int, d: Iterable[int]) -> Fraction:
     if g == 0 and n == 3:
         return Fraction(1)
     if g == 1 and n == 1:
-        return Fraction(1, 24)
+        return Fraction(1, 8)
     key = (g, d)
     val = _cache.get(key)
     if val is not None:
         return val
-    # past (0, 3) and (1, 1), a tau_0 or tau_1 leaves a stable (g, n - 1)
-    if d[-1] == 0:  # string equation
-        rest = d[:-1]
-        val = sum((_corr(g, rest[:j] + (x - 1,) + rest[j + 1 :])
-                   for j, x in enumerate(rest) if x), _ZERO)
-    elif d[-1] == 1:  # dilaton equation
-        val = (2 * g - 3 + n) * _corr(g, d[:-1])
-    else:  # DVV recursion on the largest index, here k >= 2
-        k, rest = d[0], d[1:]
-        val = _ZERO
-        for j, x in enumerate(rest):
-            val += (Fraction(double_factorial(2 * (k + x) - 1), double_factorial(2 * x - 1))
-                    * _corr(g, rest[:j] + (k + x - 1,) + rest[j + 1 :]))
-        half = _ZERO
-        for a in range(k - 1):
-            b = k - 2 - a
-            half += (double_factorial(2 * a + 1) * double_factorial(2 * b + 1)
-                     * _corr(g - 1, rest + (a, b)))
-        # on a cut, each side's room fixes its index, and the two add to k - 2
-        for g1, S1, g2, S2, weight in _cuts(g, rest):
-            a, b = _room(g1, S1) + 1, _room(g2, S2) + 1
-            half += (weight * double_factorial(2 * a + 1) * double_factorial(2 * b + 1)
-                     * _corr(g1, S1 + (a,)) * _corr(g2, S2 + (b,)))
-        val = (val + half / 2) / double_factorial(2 * k + 1)
+    k, S = d[-1], d[:-1]
+    # equal entries of S give equal terms: one per run of S, times its length
+    val = sum((S.count(x) * (2 * x + 1) * _bracket(g, S[:j] + (x + k - 1,) + S[j + 1 :])
+               for j, x in enumerate(S) if x + k > 0 and (j == 0 or S[j - 1] > x)), _ZERO)
+    half = sum((_bracket(g - 1, S + (a, k - 2 - a)) for a in range(k - 1)), _ZERO)
+    # on a cut, each side's room fixes its index, and the two add to k - 2
+    for g1, S1, g2, S2, weight in _cuts(g, S):
+        half += (weight * _bracket(g1, S1 + (_room(g1, S1) + 1,))
+                 * _bracket(g2, S2 + (_room(g2, S2) + 1,)))
+    val += half / 2
     _cache[key] = val
     return val
 
 
-def correlator(g: int, d: Sequence[int]) -> Fraction:
-    """Exact <tau_{d_1} ... tau_{d_n}>_g; zero off the dimension constraint."""
-    d = [int(x) for x in d]
-    if any(x < 0 for x in d):
+def _validated(g: int, d: Iterable[int]) -> Tuple[int, ...]:
+    """d as a tuple of ints, with no negative entry and (g, len(d)) stable."""
+    d = tuple(map(int, d))
+    if min(d, default=0) < 0:
         raise ValueError("negative exponent")
     if not _stable(g, len(d)):
         raise ValueError("unstable (g, n) = (%d, %d)" % (g, len(d)))
-    return _corr(g, d)
+    return d
+
+
+def correlator(g: int, d: Sequence[int]) -> Fraction:
+    """Exact <tau_{d_1} ... tau_{d_n}>_g = B(g, d) / prod (2d_i+1)!!; zero
+    off the dimension constraint."""
+    d = _validated(g, d)
+    b = _bracket(g, d)
+    return Fraction(b.numerator, b.denominator * prod(double_factorial(2 * x + 1) for x in d if x))
 
 
 def one_point_closed_form(g: int) -> Fraction:
@@ -135,18 +136,11 @@ def one_point_closed_form(g: int) -> Fraction:
     return Fraction(1, 24 ** g * factorial(g))
 
 
-def bracket_factor(g: int, d: Sequence[int]) -> int:
-    """2^{3g-3+n} prod (2d_i+1)!/d_i!, the factor from <tau_d>_g to [tau_d]."""
-    factor = 2 ** (3 * g - 3 + len(d))
-    for x in d:
-        factor *= factorial(2 * x + 1) // factorial(x)
-    return factor
-
-
 def normalized_bracket(g: int, d: Sequence[int]) -> Fraction:
-    """[tau_{d_1} ... tau_{d_n}] = bracket_factor(g, d) * <tau_d>."""
-    d = tuple(int(x) for x in d)
-    return correlator(g, d) * bracket_factor(g, d)
+    """[tau_{d_1} ... tau_{d_n}] = 2^{3g-3+n} prod (2d_i+1)!/d_i! <tau_d>,
+    which is 4^{3g-3+n} B(g, d) on the dimension constraint."""
+    d = _validated(g, d)
+    return 4 ** (3 * g - 3 + len(d)) * _bracket(g, d)
 
 
 def max_bracket(g: int, n: int) -> Fraction:

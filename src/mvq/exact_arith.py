@@ -67,11 +67,8 @@ def double_factorial(n: int) -> int:
     """n!! with (-1)!! = 0!! = 1 (empty products)."""
     if n < -1:
         raise ValueError("double factorial defined for n >= -1")
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
+    m = (n + 1) // 2  # (2m)!! = 2^m m! and (2m-1)!! = (2m)! / (2m)!!
+    return _factorial(m) << m if n % 2 == 0 else _factorial(n + 1) // (_factorial(m) << m)
 
 
 def binomial(n: int, k: int) -> int:

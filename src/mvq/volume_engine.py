@@ -15,7 +15,7 @@ from itertools import chain, combinations
 from math import gcd, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
-from .correlators import _corr, _cuts, _room, correlator
+from .correlators import _bracket, _cuts, _room, correlator
 from .exact_arith import ExactnessError, PiRational, factorial, zeta_even
 from .stable_graphs import CatalogEntry, StableGraph, aut_order, enumerate_graphs
 
@@ -39,14 +39,17 @@ def _vertex_factor(
     """N_{g, legs+ends} with every leg variable set to zero, as integer
     numerators over one reduced denominator: (den, ((exponents of the ends,
     numerator), ...)).  The term of d is <tau_d>_g prod b_i^(2 d_i) divided by
-    2^(5g-6+2n) prod d_i!, that is D!/prod d_i! (an integer) over D! 2^(5g-6+2n)."""
+    2^(5g-6+2n) prod d_i!, that is the bracket B(g, d) = prod (2 d_i + 1)!!
+    <tau_d>_g over 2^(2g-3+n) prod (2 d_i + 1)!, and (2D+ends)!/prod (2 d_i + 1)!
+    is an integer (a multinomial)."""
     n = legs + ends
     D = 3 * g - 3 + n
-    corr = {d: c for d in _compositions(D, ends) if (c := _corr(g, (0,) * legs + d))}
-    cden = lcm(*(c.denominator for c in corr.values()))
-    den = cden * 2 ** (5 * g - 6 + 2 * n) * factorial(D)
-    nums = {d: c.numerator * (cden // c.denominator) * factorial(D) // prod(map(factorial, d))
-            for d, c in corr.items()}
+    top = factorial(2 * D + ends)
+    brackets = {d: b for d in _compositions(D, ends) if (b := _bracket(g, (0,) * legs + d))}
+    bden = lcm(*(b.denominator for b in brackets.values()))
+    den = bden * 2 ** (2 * g - 3 + n) * top
+    nums = {d: b.numerator * (bden // b.denominator) * top // prod(factorial(2 * x + 1) for x in d)
+            for d, b in brackets.items()}
     common = gcd(den, *nums.values())
     return den // common, tuple((tuple(2 * x for x in d), num // common) for d, num in nums.items())
 

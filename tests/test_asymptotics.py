@@ -28,19 +28,18 @@ from mvq.asymptotics import (
     series_checks,
     series_coeffs,
     sum_binomial_products,
-    two_point_correlator,
     vol_delta,
     vol_gamma1_asymptotic,
     vol_gamma1_bounds,
     vol_gamma1_exact,
     vol_gamma_k,
 )
-from mvq.correlators import correlator
+from mvq.correlators import correlator, max_bracket
 from mvq.exact_arith import PiRational, zeta_even
 
 
 class TestTwoPointSequence:
-    @pytest.mark.parametrize("g", range(1, 8))
+    @pytest.mark.parametrize("g", [*range(1, 8), 20, 25])
     def test_recursion_matches_correlators(self, g):
         assert agk_by_recursion(g) == agk_from_correlators(g)
 
@@ -54,11 +53,16 @@ class TestTwoPointSequence:
             assert agk_by_recursion(g).values[0] == 1
 
     def test_two_point_correlator_against_cache(self):
+        # <tau_k tau_{3g-1-k}>_g = a_{g,k} [tau_0 tau_{3g-1}]_g over the factor
+        # 2^{3g-1} prod (2 d_i + 1)!/d_i! from <tau_d>_g to [tau_d]
         for g in (1, 2, 3):
             for k in range(3 * g):
-                assert two_point_correlator(g, k) == correlator(
-                    g, (k, 3 * g - 1 - k)
+                d = (k, 3 * g - 1 - k)
+                factor = 2 ** (3 * g - 1) * math.prod(
+                    math.factorial(2 * x + 1) // math.factorial(x) for x in d
                 )
+                two_point = agk_by_recursion(g).values[k] * max_bracket(g, 2) / factor
+                assert two_point == correlator(g, d)
 
     @pytest.mark.parametrize("g", (5, 10, 20))
     def test_factored_difference_sums(self, g):

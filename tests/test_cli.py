@@ -11,6 +11,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+import sympy
 
 from mvq import lattice_oracle
 from mvq.cli import main
@@ -125,6 +126,26 @@ class TestStatistics:
         )
         assert code == 0
         assert "7/3" in out
+
+    def test_expect_past_the_float_range(self, capsys, tmp_path):
+        # E[b_1^400] on the theta graph is about 10^871, with heights (a
+        # Fraction) or without (a multiple of pi^400): the text reads its
+        # digits from the value, and strict JSON gives null
+        doc = {"vertices": [{"genus": 0}, {"genus": 0}], "edges": [[0, 1]] * 3, "legs": []}
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(doc))
+        for heights in ((), ("--heights", "1,1,1")):
+            argv = ("expect", "--graph", str(path), "--num", "400,0,0", "--den", "0,0,0", *heights)
+            code, text, _ = run(capsys, *argv)
+            assert code == 0
+            code, out, _ = run(capsys, "--json", *argv)
+            assert code == 0
+            doc = json.loads(out, parse_constant=pytest.fail)
+            assert doc["float"] is None
+            with mpmath.workdps(30):
+                value = mpmath.mpmathify(sympy.sympify(doc["value"]).evalf(30))
+                assert text.rstrip().endswith(" = " + mpmath.nstr(value, 6))
+            assert 870 < mpmath.log10(value) < 872
 
 
 class TestAsymptotics:

@@ -45,7 +45,7 @@ class TestKnownValues:
 
     def test_one_point_closed_form(self):
         # <tau_{3g-2}>_g = 1/(24^g g!)
-        for g in range(1, 8):
+        for g in range(1, 26):
             expected = Fraction(1, 24 ** g * __import__("math").factorial(g))
             assert one_point_closed_form(g) == expected
             assert correlator(g, (3 * g - 2,)) == expected
@@ -112,7 +112,8 @@ class TestTable:
             "ac519d2731dcf903bcc5959345712cff4b60b7ba43917f9a738db7597217485a",
             827,
         )
-        assert keys == 915
+        # the brackets the recursion on the smallest index memoizes
+        assert keys == 875
 
 
 def _splits(S):

@@ -190,7 +190,7 @@ class TestVolumes:
 
     def test_genus0_closed_form_matches_engine(self):
         # Vol Q_{0,n} = 2^(5-n) pi^(2n-6)
-        for n in range(4, 8):
+        for n in [*range(4, 8), 12, 16, 20]:
             assert pr(Fraction(2) ** (5 - n), 2 * n - 6) == masur_veech_volume(0, n).total
 
     def test_beyond_catalog_reach(self):
