@@ -10,7 +10,13 @@ request compiles the modules it imports, as in a fresh checkout.  Pair i
 runs seed SEED + i on both sides, the parent first when i is even and the
 change first when it is odd.  Every end-to-end metric that the parent's
 ``BENCHMARK.json`` declares is printed per pair, then its medians, the
-parent's quartiles and the number of pairs that the change wins.
+parent's quartiles, the number of pairs that the change wins and a verdict.
+A metric's ``bound`` in that file is a share of the parent's median.  The
+verdict is ``worse`` when the change's median is worse than the parent's by
+more than the bound; ``unresolved`` when the parent's quartiles lie further
+apart than the bound and the change does not win every pair; ``better``
+when the change wins at least nine pairs in ten and its median is better by
+more than the parent's quartile spread; and ``no worse`` otherwise.
 """
 
 from __future__ import annotations
@@ -38,6 +44,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def quartiles(vals: List[float]):
     return statistics.quantiles(vals, n=4)[::2] if len(vals) > 1 else (vals[0], vals[0])
+
+
+def verdict(med_old: float, med_new: float, spread: float, wins: int, pairs: int,
+            metric: dict) -> str:
+    """The verdict on one metric from both sides' medians, the parent's
+    quartile spread and the number of pairs that the change wins."""
+    worse_by = med_new - med_old if metric["better"] == "lower" else med_old - med_new
+    allowed = metric["bound"] * abs(med_old)
+    if worse_by > allowed:
+        return "worse"
+    if spread > allowed and wins < pairs:
+        return "unresolved"
+    if 10 * wins >= 9 * pairs and -worse_by > spread:
+        return "better"
+    return "no worse"
 
 
 def main(argv=None) -> int:
@@ -75,8 +96,8 @@ def main(argv=None) -> int:
         print("pair %d seed %d %s-first: %s correct=%s"
               % (i + 1, seed, order[0], "  ".join(cells), ok), flush=True)
 
-    print("%-14s %10s %10s %10s %10s %8s %6s" % (
-        "metric", "parent", "change", "parent q1", "parent q3", "delta", "wins"))
+    print("%-14s %10s %10s %10s %10s %8s %6s  %s" % (
+        "metric", "parent", "change", "parent q1", "parent q3", "delta", "wins", "verdict"))
     for m in metrics:
         old, new = values["parent"][m["name"]], values["change"][m["name"]]
         lower = m["better"] == "lower"
@@ -84,8 +105,9 @@ def main(argv=None) -> int:
         med_old, med_new = statistics.median(old), statistics.median(new)
         q1, q3 = quartiles(old)
         rel = "%+.1f%%" % (100 * (med_new - med_old) / med_old) if med_old else "n/a"
-        print("%-14s %10.4g %10.4g %10.4g %10.4g %8s %3d/%d" % (
-            m["name"], med_old, med_new, q1, q3, rel, wins, args.pairs))
+        print("%-14s %10.4g %10.4g %10.4g %10.4g %8s %3d/%d  %s" % (
+            m["name"], med_old, med_new, q1, q3, rel, wins, args.pairs,
+            verdict(med_old, med_new, q3 - q1, wins, args.pairs, m)))
     return 0
 
 

@@ -6,19 +6,21 @@ of the corresponding monomial.  Summing the counting polynomial of a stable
 graph over such pairs counts square-tiled surfaces and converges to the
 graph's volume contribution.
 
-Lattice work is shared for one N.  Once a parity pattern fixes the parity of
-every constrained b_i, the sum depends only on the multiset of (exponent,
-parity) pairs, and a call adds up one combined sum per sorted key of pairs.
-The cost arrays of exponent m all come from the divisor-power sums sigma_m,
-built by a multiplicative sieve over one smallest-prime table; the even-b
-and odd-b arrays follow from sigma_m without another divisor loop.  A key's
+The lattice work of one N is one cached state, which the next N replaces:
+the smallest-prime table of 0..N and two memos.  Once a parity pattern fixes
+the parity of every constrained b_i, the sum depends only on the multiset of
+(exponent, parity) pairs, and a call adds up one combined sum per sorted key
+of pairs; one memo keeps these sums.  The other keeps, per sorted multiset
+of pairs, the coefficients of the product of their cost arrays.  For one
+pair that is its cost array: the divisor-power sums sigma_m of its exponent
+m, built by a multiplicative sieve over the smallest-prime table, or the
+even-b or odd-b part of sigma_m, which needs no other divisor loop.  A key's
 combined sum is sum_c A[c] * cumB[N - c], where A and B are the products of
 the cost arrays of its two halves (A takes the larger), and the product of a
-longer half is that of its own two halves.  The coefficients of every such product are kept per
-sorted sub-multiset, so that one shared by several keys, in one call or
-across calls, is multiplied once.  A product is a Kronecker substitution in
-base 10^w that libmpdec multiplies in a context trapping any rounding, so
-all of it is exact integer arithmetic.
+longer half is that of its own two halves.  So a product shared by several
+keys, in one call or across calls at one N, is multiplied once.  A product
+is a Kronecker substitution in base 10^w that libmpdec multiplies in a
+context trapping any rounding, so all of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -49,30 +51,14 @@ _CONTEXT = decimal.Context(
     traps=[decimal.Rounded, decimal.Inexact],
 )
 
-# The lattice work of one N: sigma_m per exponent m, the cost array of each
-# (exponent, parity) pair, the product of the cost arrays of each sorted
-# sub-multiset of more than one pair, and the combined sum of each sorted
-# key.  Cleared when N changes.
-_memo_N = 0
-_bases: Dict[int, List[int]] = {}
-_arrays: Dict[Tuple[int, int], List[int]] = {}
-_products: Dict[Key, List[int]] = {}
-_sums: Dict[Key, int] = {}
 
-
-def _use(N: int) -> None:
-    """Empty the lattice work when N changes."""
-    global _memo_N
-    if N != _memo_N:
-        _memo_N = N
-        for memo in (_bases, _arrays, _products, _sums):
-            memo.clear()
-
-
-@lru_cache(maxsize=1)  # one table, for the last N
-def _prime_powers(N: int) -> Tuple[List[int], List[int]]:
-    """For c = 0..N, the smallest prime p of c and the power of p that
-    exactly divides c (c itself and 1 at c < 2)."""
+@lru_cache(maxsize=1)  # the work of the last N only
+def _work(N: int) -> Tuple[List[int], List[int], Dict[Key, List[int]], Dict[Key, int]]:
+    """The lattice work of one N.  First, for c = 0..N, the smallest prime p
+    of c and the power of p that exactly divides c (c itself and 1 at c < 2).
+    Then two memos that start empty: the coefficients 0..N of the product of
+    the cost arrays of each sorted multiset of (exponent, parity) pairs, and
+    the combined sum of each sorted key."""
     smallest = list(range(N + 1))
     for p in range(2, isqrt(N) + 1):
         if smallest[p] == p:
@@ -83,36 +69,7 @@ def _prime_powers(N: int) -> Tuple[List[int], List[int]]:
     for c in range(2, N + 1):
         p = smallest[c]
         power[c] = power[c // p] * p if smallest[c // p] == p else p
-    return smallest, power
-
-
-def _sigma(m: int, N: int) -> List[int]:
-    """sigma_m(c), the sum of b^m over the divisors b of c, for c = 0..N (0 at
-    c = 0): sigma_m(p^e r) = sigma_m(p^e) sigma_m(r) for p not dividing r, and
-    sigma_m(p^e) = sigma_m(p^(e-1)) + p^(e m)."""
-    if m not in _bases:
-        smallest, power = _prime_powers(N)
-        W = _bases[m] = [0, 1] + [0] * (N - 1)
-        for c in range(2, N + 1):
-            q = power[c]
-            W[c] = W[c // smallest[c]] + c ** m if q == c else W[q] * W[c // q]
-    return _bases[m]
-
-
-def _cost_array(m: int, parity: int, N: int) -> List[int]:
-    """W[c] = sum of b^m over pairs (h, b) with h*b = c and b even (parity 0),
-    odd (1) or either (-1: it sorts first, so keys of one call share longer
-    halves).  Either parity is sigma_m; the even part is 2^m sigma_m(c/2) at
-    even c, and the odd part is what is left."""
-    _use(N)
-    if (m, parity) not in _arrays:
-        W = _sigma(m, N)
-        if parity >= 0:
-            even = [0] * (N + 1)
-            even[::2] = [w << m for w in W[: N // 2 + 1]]
-            W = even if parity == 0 else list(map(sub, W, even))
-        _arrays[m, parity] = W
-    return _arrays[m, parity]
+    return smallest, power, {}, {}
 
 
 def exact_str(x: int | Fraction) -> str:
@@ -143,13 +100,34 @@ def _product(a: List[int], b: List[int], N: int) -> List[int]:
 
 def _coefficients(pairs: Key, N: int) -> List[int]:
     """Coefficients 0..N of the product of the cost arrays of ``pairs``: the
-    product of those of its two halves."""
-    if len(pairs) == 1:
-        return _cost_array(*pairs[0], N)
-    if pairs not in _products:
+    product of those of its two halves.  The cost array of one pair (m,
+    parity) is W[c] = sum of b^m over pairs (h, b) with h*b = c and b even
+    (parity 0), odd (1) or either (-1: it sorts first, so keys of one call
+    share longer halves).  Either parity is sigma_m(c), the sum of b^m over
+    the divisors b of c (0 at c = 0), by a multiplicative sieve:
+    sigma_m(p^e r) = sigma_m(p^e) sigma_m(r) for p not dividing r, and
+    sigma_m(p^e) = sigma_m(p^(e-1)) + p^(e m).  The even part is
+    2^m sigma_m(c/2) at even c, and the odd part is what is left."""
+    smallest, power, arrays, _ = _work(N)
+    if pairs in arrays:
+        return arrays[pairs]
+    if len(pairs) > 1:
         h = (len(pairs) + 1) // 2
-        _products[pairs] = _product(_coefficients(pairs[:h], N), _coefficients(pairs[h:], N), N)
-    return _products[pairs]
+        W = _product(_coefficients(pairs[:h], N), _coefficients(pairs[h:], N), N)
+    else:
+        (m, parity), = pairs
+        if parity < 0:
+            W = [0, 1] + [0] * (N - 1)
+            for c in range(2, N + 1):
+                q = power[c]
+                W[c] = W[c // smallest[c]] + c ** m if q == c else W[q] * W[c // q]
+        else:
+            sigma = _coefficients(((m, -1),), N)
+            even = [0] * (N + 1)
+            even[::2] = [w << m for w in sigma[: N // 2 + 1]]
+            W = even if parity == 0 else list(map(sub, sigma, even))
+    arrays[pairs] = W
+    return W
 
 
 def lattice_sum(
@@ -168,7 +146,7 @@ def lattice_sum(
     constraints = [tuple(c) for c in parity if c]
     if any(not 0 <= i < k for c in constraints for i in c):
         raise ValueError(f"parity indices must lie in 0..{k - 1}")
-    _use(N)
+    sums = _work(N)[3]
     constrained = frozenset().union(*constraints)
     # each admissible parity pattern, as a sorted key of (exponent, parity)
     keys = Counter(
@@ -176,16 +154,16 @@ def lattice_sum(
         for ps in product(*[(0, 1) if i in constrained else (-1,) for i in range(k)])
         if not any(sum(ps[i] for i in c) % 2 for c in constraints)
     )
-    for key in keys.keys() - _sums.keys():
+    for key in keys.keys() - sums.keys():
         # the combined sum, sum_c A[c] * cumB[N - c]
         h = (len(key) + 1) // 2
         A = _coefficients(key[:h], N)
         if h == len(key):  # B is the empty product: cumB is all ones
-            _sums[key] = sum(A)
+            sums[key] = sum(A)
         else:
             cum = list(accumulate(_coefficients(key[h:], N)))
-            _sums[key] = sum(map(mul, A, reversed(cum)))
-    return sum(mult * _sums[key] for key, mult in keys.items())
+            sums[key] = sum(map(mul, A, reversed(cum)))
+    return sum(mult * sums[key] for key, mult in keys.items())
 
 
 def normalized_lattice_sum(

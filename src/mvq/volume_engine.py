@@ -15,7 +15,7 @@ from itertools import chain, combinations
 from math import gcd, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
-from .correlators import _bracket, _cuts, _room, correlator
+from .correlators import _bracket, _cuts, _room
 from .exact_arith import ExactnessError, PiRational, factorial, zeta_even
 from .stable_graphs import CatalogEntry, StableGraph, aut_order, enumerate_graphs
 
@@ -233,8 +233,12 @@ Vector = Tuple[int, Tuple[int, ...]]
 
 @lru_cache(maxsize=None)
 def _propagator(a: int, b: int) -> Fraction:
-    """P(a, b) = 2 (2a+2b+1)! zeta(2a+2b+2) / (pi^(2a+2b+2) a! b!)."""
-    return 2 * _zeta_factor(2 * a + 2 * b + 1) / (factorial(a) * factorial(b))
+    """P(a, b) / ((2a+1)!! (2b+1)!!), where P(a, b) = 2 (2a+2b+1)!
+    zeta(2a+2b+2) / (pi^(2a+2b+2) a! b!) is the propagator of an edge: as
+    a! (2a+1)!! = (2a+1)! / 2^a, this is 2^(a+b+1) (2a+2b+1)! zeta(2a+2b+2)
+    / (pi^(2a+2b+2) (2a+1)! (2b+1)!)."""
+    return 2 ** (a + b + 1) * _zeta_factor(2 * a + 2 * b + 1) / (
+        factorial(2 * a + 1) * factorial(2 * b + 1))
 
 
 def _vector(sums: Dict[int, List[int]], divisors: Sequence[int]) -> Vector:
@@ -254,15 +258,18 @@ def _vector(sums: Dict[int, List[int]], divisors: Sequence[int]) -> Vector:
 
 @lru_cache(maxsize=None)
 def _wick(g: int, S: Tuple[int, ...]) -> Vector:
-    """W(g, S)[k]: the Feynman sum over connected stable graphs of genus g
-    with k edges and external descendants S (sorted).  Marking an oriented
-    edge and cutting it gives 2k W(g, S)[k] = sum_{a,b} P(a,b) (W(g-1,
-    S+{a,b})[k-1] + sum over S1+S2 = S, g1+g2 = g and i+j = k-1 of
-    W(g1, S1+{a})[i] W(g2, S2+{b})[j])."""
+    """W(g, S)[k] prod_{s in S} (2s+1)!!, where W(g, S)[k] is the Feynman sum
+    over connected stable graphs of genus g with k edges and external
+    descendants S (sorted).  In this scale of the psi-brackets the graph
+    with no edge is the bracket B(g, S) = prod (2s+1)!! <tau_S>_g.  Marking
+    an oriented edge and cutting it gives 2k W(g, S)[k] = sum_{a,b} P(a,b)
+    (W(g-1, S+{a,b})[k-1] + sum over S1+S2 = S, g1+g2 = g and i+j = k-1 of
+    W(g1, S1+{a})[i] W(g2, S2+{b})[j]); the new ends a and b bring the
+    (2a+1)!! (2b+1)!! that _propagator divides out."""
     top = _room(g, S)
     if top < 0 or 2 * g - 2 + len(S) <= 0:
         return 1, ()
-    c = correlator(g, S) if S else Fraction(0)  # k = 0: the graph with no edge
+    c = _bracket(g, S)  # k = 0: the graph with no edge
     sums: Dict[int, List[int]] = {c.denominator: [c.numerator] + [0] * top}  # den -> row
     for b in range(top if g >= 1 else 0):  # the marked edge does not separate
         den, vec = _contracted(g - 1, tuple(sorted(S + (b,))), b)
@@ -287,8 +294,10 @@ def _wick(g: int, S: Tuple[int, ...]) -> Vector:
 
 @lru_cache(maxsize=None)
 def _contracted(g: int, S: Tuple[int, ...], b: int) -> Vector:
-    """sum_a P(a, b) W(g, S+{a})[i] for each i: the propagator of a cut edge
-    summed over one of its ends once per (g, S, b), not once per split."""
+    """sum_a _propagator(a, b) _wick(g, S+{a})[i] for each i, that is
+    sum_a P(a, b) W(g, S+{a})[i] times prod_{s in S} (2s+1)!! / (2b+1)!!:
+    the propagator of a cut edge summed over one of its ends once per
+    (g, S, b), not once per split."""
     size = _room(g, S) + 2
     sums: Dict[int, List[int]] = {}
     for a in range(size):

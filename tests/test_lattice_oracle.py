@@ -209,8 +209,11 @@ class TestSharedLatticeWork:
         start = time.perf_counter()
         volume_convergence_report(3, 0, 20)
         assert time.perf_counter() - start < 1.0
-        assert len(lattice_oracle._bases) == 6
-        assert len(lattice_oracle._arrays) == 17
+        arrays = lattice_oracle._work(40)[2]
+        singles = [pairs for pairs in arrays if len(pairs) == 1]
+        assert len({m for ((m, _),) in singles}) == 6
+        assert len(singles) == 17
+        assert len(arrays) - len(singles) == 35
         assert counts["products"] == 35
         assert counts["calls"] == 147
         volume_convergence_report(3, 0, 20)
@@ -224,7 +227,7 @@ class TestSieveAndProducts:
             for m in range(13):
                 for parity in (-1, 0, 1):
                     want = _reference_cost_array(m, N, None if parity < 0 else parity)
-                    assert lattice_oracle._cost_array(m, parity, N) == want, (m, parity, N)
+                    assert lattice_oracle._coefficients(((m, parity),), N) == want, (m, parity, N)
 
     @pytest.mark.parametrize(
         "context",

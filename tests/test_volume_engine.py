@@ -5,15 +5,15 @@ import subprocess
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
 
-from mvq import volume_engine
+from mvq import correlators, volume_engine
 from mvq.asymptotics import vol_delta, vol_gamma1_exact
 from mvq.correlators import correlator
-from mvq.exact_arith import PiRational, factorial, zeta_even
+from mvq.exact_arith import PiRational, double_factorial, factorial, zeta_even
 from mvq.multicurve_stats import b_gn, cylinder_distribution
 from mvq.siegel_veech import c_area_boundary
 from mvq.stable_graphs import StableGraph, bridges, enumerate_graphs
@@ -254,10 +254,26 @@ VOL_7_0_PARTS = (
     "787/96783388276851631555200",
 )
 
+# Vol Q_{4,1}: its k-cylinder parts, k = 1..10, times pi^-20
+VOL_4_1_PARTS = (
+    "2297356927/121739847075000",
+    "171635432069/4857419898292500",
+    "129903250301/4710225355920000",
+    "48252478459/4037336019360000",
+    "272963579863/80746720387200000",
+    "1036222583/1318313802240000",
+    "1135333/7209528606000",
+    "71587/2714175475200",
+    "3839/1153524576960",
+    "13/54283509504",
+)
+
 # The edge recursion with the split loop it had before the genus range was
 # cut to the sides that can hold a graph: every g1 whose two sides are
-# stable, and with its earlier row updates and lcm sum.  Each memo is a plain
-# dict so that a test can list what it reached.
+# stable, and with its earlier row updates and lcm sum.  Its states are
+# W(g, S) itself, with the correlators and the propagator P(a, b), not in the
+# scale of the psi-brackets.  Each memo is a plain dict so that a test can
+# list what it reached.
 _REF_WICK = {}
 _REF_CONTRACTED = {}
 
@@ -315,7 +331,7 @@ def _reference_contracted(g, S, b):
         size = volume_engine._room(g, S) + 2
         sums = defaultdict(lambda: [0] * size)
         for a in range(size):
-            p = volume_engine._propagator(a, b)
+            p = 2 * volume_engine._zeta_factor(2 * a + 2 * b + 1) / (factorial(a) * factorial(b))
             den, vec = _reference_wick(g, tuple(sorted(S + (a,))))
             _add(sums, p.denominator * den, p.numerator, vec, 0)
         _REF_CONTRACTED[g, S, b] = _vector(sums, [1] * size)
@@ -329,7 +345,11 @@ class TestEdgeRecursion:
         for g, n in ((5, 0), (4, 1), (3, 2), (2, 4), (1, 6)):
             _reference_wick(g, (0,) * n)
         assert len(_REF_WICK) > 700
-        for (g, S), want in _REF_WICK.items():
+        for (g, S), (den, nums) in _REF_WICK.items():
+            # the reference state times prod (2s+1)!!, reduced: _wick's scale
+            nums = [x * prod(double_factorial(2 * s + 1) for s in S) for x in nums]
+            common = gcd(den, *nums)
+            want = den // common, tuple(x // common for x in nums)
             assert volume_engine._wick(g, S) == want, (g, S)
 
     def test_no_contracted_vector_is_empty(self, monkeypatch):
@@ -349,6 +369,22 @@ class TestEdgeRecursion:
         masur_veech_volume(4, 1)
         assert len(seen) > 500
         assert [key for key, (_, vec) in seen.items() if not vec] == []
+
+    def test_reads_brackets_not_correlators(self, monkeypatch):
+        """The state with no edge is the psi-bracket itself, so the edge
+        recursion never divides a bracket by prod (2d+1)!! into a correlator."""
+        def no_correlator(g, d):
+            raise RuntimeError("correlator read")
+
+        # swap the code, so that the function raises under every name it is bound to
+        monkeypatch.setattr(correlators.correlator, "__code__", no_correlator.__code__)
+        for memo in (masur_veech_volume, volume_engine._wick, volume_engine._contracted):
+            memo.cache_clear()
+        assert masur_veech_volume(4, 1).per_cylinder_count == {
+            k: pr(Fraction(q), 20) for k, q in enumerate(VOL_4_1_PARTS, 1)
+        }
+        with pytest.raises(RuntimeError):
+            correlators.correlator(1, (1,))
 
     def test_seven_zero_per_cylinder_parts(self):
         rep = masur_veech_volume(7, 0)
