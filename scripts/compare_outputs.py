@@ -42,7 +42,8 @@ ENTRY = "import sys; from mvq.cli import main; sys.exit(main())"
 # rounds, then both routes where legs far outnumber edges, and a normalized
 # lattice sum far below the float range, then the one-loop volume read from
 # the two-point sequence, and an expectation given heights past the float
-# range (the parent ends in an OverflowError there)
+# range (the parent ends in an OverflowError there), then the separating
+# ratio at a genus whose zeta(6g-6) would need the Bernoulli number B_3354
 REQUESTS = (
     "volume 4 0",
     "volume 4 1 --per-cylinder",
@@ -97,6 +98,7 @@ REQUESTS = (
     "oracle lattice --m 4000,4000,4000 --N 4",
     "sep-ratio 120",
     "expect --graph {theta} --num 400,0,0 --den 0,0,0 --heights 1,1,1",
+    "sep-ratio 560",
 )
 
 GRAPHS = {

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Tuple
 
 from .correlators import epsilon_d
 from .exact_arith import (
@@ -79,24 +79,20 @@ def agk_from_correlators(g: int) -> AgkSequence:
     return AgkSequence(g, tuple(1 + epsilon_d(g, (k, 3 * g - 1 - k)) for k in range(3 * g)))
 
 
-def rpq(g: int, j: int) -> Tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-    """(R, P1, P2, P3, Q): the factored form of the difference formula."""
-    R = Fraction(binomial(3 * g, 3 * j) * binomial(g, j), binomial(6 * g, 6 * j))
-    P1 = Fraction((6 * g - 6 * j - 1) * (6 * g - 6 * j - 3) * (g - 2 * j))
-    P2 = Fraction(-2 * (6 * g - 6 * j - 3) * (6 * j + 1) * (g - j))
-    P3 = Fraction(2 * (6 * j + 1) * (6 * j + 3) * (g - j))
-    Q = Fraction(g * (6 * g - 6 * j - 1) * (6 * g - 6 * j - 3))
-    return R, P1, P2, P3, Q
-
-
 # ---------------------------------------------------------------------------
 # one-loop graph and separating contributions
 
 def vol_gamma1_exact(g: int) -> PiRational:
     """Exact volume contribution of the one-vertex one-loop stable graph in
-    genus g, via the 2-point correlators of genus h = g-1: summed over k,
-    <tau_k tau_{3h-1-k}>_h / (k! (3h-1-k)!) is a_{h,k} C(6h, 2k+1) over
-    6h (3h-1)! 24^h h!, the a_{h,k} over one common denominator."""
+    genus g."""
+    return _gamma1_coeff(g) * zeta_even(6 * g - 6)
+
+
+def _gamma1_coeff(g: int) -> Fraction:
+    """vol_gamma1_exact(g) / zeta(6g-6), via the 2-point correlators of genus
+    h = g-1: summed over k, <tau_k tau_{3h-1-k}>_h / (k! (3h-1-k)!) is
+    a_{h,k} C(6h, 2k+1) over 6h (3h-1)! 24^h h!, the a_{h,k} over one
+    common denominator."""
     if g < 2:
         raise ValueError("need g >= 2")
     h = g - 1
@@ -105,7 +101,7 @@ def vol_gamma1_exact(g: int) -> PiRational:
     num = sum(x.numerator * (den // x.denominator) * binomial(6 * h, 2 * k + 1)
               for k, x in enumerate(a))
     S = Fraction(num, den * 6 * h * factorial(3 * h - 1) * 24 ** h * factorial(h))
-    return (2 ** (g + 1) * factorial(4 * g - 4) * S) * zeta_even(6 * g - 6)
+    return 2 ** (g + 1) * factorial(4 * g - 4) * S
 
 
 def vol_gamma1_asymptotic(g: int) -> float:
@@ -113,52 +109,38 @@ def vol_gamma1_asymptotic(g: int) -> float:
     return math.sqrt(2 / (3 * math.pi * g)) * (8 / 3) ** (4 * g - 4)
 
 
-def vol_gamma1_bounds(g: int) -> Tuple[Fraction, Fraction, Fraction]:
-    """(lower, value, upper) for Vol Gamma_1(g+1)/zeta(6g): the exact ratio
-    sandwiched by C(4g,g)(2^4/3)^g (1 - 2/(6g-1)) and C(4g,g)(2^4/3)^g."""
-    ratio = (vol_gamma1_exact(g + 1) / zeta_even(6 * g)).rational(0)
-    upper = binomial(4 * g, g) * Fraction(16, 3) ** g
-    lower = upper * (1 - Fraction(2, 6 * g - 1))
-    return lower, ratio, upper
-
-
 def vol_delta(g1: int, g2: int) -> PiRational:
     """Exact volume contribution of the two-vertex one-edge stable graph with
     vertex genera g1 and g2."""
+    return _delta_coeff(g1, g2) * zeta_even(6 * (g1 + g2) - 6)
+
+
+def _delta_coeff(g1: int, g2: int) -> Fraction:
+    """vol_delta(g1, g2) / zeta(6g-6), g = g1 + g2."""
     g = g1 + g2
     aut = 2 if g1 == g2 else 1
-    coeff = (
+    return (
         Fraction(4, aut)
         * binomial(4 * g - 4, g)
         * Fraction(1, 12 ** g)
         * binomial(g, g1)
         * binomial(3 * g - 4, 3 * g1 - 2)
     )
-    return coeff * zeta_even(6 * g - 6)
 
 
 def sep_nonsep_ratio(g: int) -> Tuple[Fraction, Fraction]:
     """Exact and leading-order asymptotic ratio between the total separating
-    and the non-separating one-edge contributions in genus g."""
-    total = PiRational.zero()
-    for g1 in range(1, g // 2 + 1):
-        total = total + vol_delta(g1, g - g1)
-    ratio = (total / vol_gamma1_exact(g)).rational(0)
-    return ratio, sep_nonsep_asymptotic(g)
+    and the non-separating one-edge contributions in genus g.  Both carry the
+    factor zeta(6g-6), so the exact ratio is one of their coefficients and
+    needs no Bernoulli number."""
+    total = sum(_delta_coeff(g1, g - g1) for g1 in range(1, g // 2 + 1))
+    return total / _gamma1_coeff(g), sep_nonsep_asymptotic(g)
 
 
 def sep_nonsep_asymptotic(g: int) -> Fraction:
     """sqrt(2/(3 pi g)) / 4^g: the float square root over the exact 4^g, a
     Fraction that neither overflows nor underflows where a float would."""
     return Fraction(math.sqrt(2 / (3 * math.pi * g))) / 4 ** g
-
-
-def sum_binomial_products(g: int) -> int:
-    """S(g) = sum over g1 of C(g,g1) C(3g-4,3g1-2), asymptotic to
-    2^{4g-4} sqrt(2/(3 pi g))... i.e. S(g) sqrt(6 pi g)/2^{4g-4} -> 1."""
-    return sum(
-        binomial(g, g1) * binomial(3 * g - 4, 3 * g1 - 2) for g1 in range(1, g)
-    )
 
 
 def vol_gamma_k(g: int, k: int) -> PiRational:
@@ -320,42 +302,6 @@ def series_coeffs(max_j: int) -> SeriesCoefficients:
             tuple(float(x) for x in A),
             tuple(float(x) for x in B),
         )
-
-
-def series_checks(terms: int = 60) -> Dict[str, Tuple[float, float]]:
-    """Partial sums of the A_j/B_j series against their closed forms.
-    Returns name -> (computed, closed_form)."""
-    sc = series_coeffs(terms)
-    gamma = EULER_GAMMA
-    log2 = math.log(2)
-    sqrtpi = math.sqrt(math.pi)
-    sumA = sum(sc.A[j] / 2 ** j for j in range(terms + 1))
-    sumB = sum(sc.B[j] / 2 ** j for j in range(terms + 1))
-    sumjA = sum(j * sc.A[j] / 2 ** (j - 1) for j in range(1, terms + 1))
-    sumjB = sum(j * sc.B[j] / 2 ** (j - 1) for j in range(1, terms + 1))
-    return {
-        "sum_A": (sumA, 2 / sqrtpi),
-        "sum_B": (sumB, 2 * math.sqrt(2 / math.pi)),
-        "sum_jA": (sumjA, 2 * (2 * log2 + gamma - 2) / sqrtpi),
-        "sum_jB": (sumjB, 2 * math.sqrt(2) * (3 * log2 + gamma - 2) / sqrtpi),
-    }
-
-
-def expansion_residual(k: int, m: int) -> Tuple[float, float]:
-    """(eps_k^H, eps_k^Z): residuals of the exact harmonic sums against their
-    (k!/m) * sum_j {A,B}_j (log m)^{k-1-j}/(k-1-j)!  expansions."""
-    sc = series_coeffs(k + 1)
-    logm = math.log(m)
-    expansion_A = sum(
-        sc.A[j] * logm ** (k - 1 - j) / factorial(k - 1 - j) for j in range(k)
-    )
-    expansion_B = sum(
-        sc.B[j] * logm ** (k - 1 - j) / factorial(k - 1 - j) for j in range(k)
-    )
-    h, z = _float_sums(k, m)
-    eps_h = m * h / factorial(k) - expansion_A
-    eps_z = m * z / factorial(k) - expansion_B
-    return eps_h, eps_z
 
 
 # ---------------------------------------------------------------------------

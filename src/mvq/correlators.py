@@ -9,7 +9,7 @@ on (g, sorted d) and exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby, product as _iproduct
+from itertools import groupby
 from math import comb, factorial, prod
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -17,11 +17,9 @@ from .exact_arith import double_factorial
 
 __all__ = [
     "correlator",
-    "one_point_closed_form",
     "normalized_bracket",
     "max_bracket",
     "epsilon_d",
-    "c_gk",
     "cached_keys",
 ]
 
@@ -129,13 +127,6 @@ def correlator(g: int, d: Sequence[int]) -> Fraction:
     return Fraction(b.numerator, b.denominator * prod(double_factorial(2 * x + 1) for x in d if x))
 
 
-def one_point_closed_form(g: int) -> Fraction:
-    """<psi^{3g-2}>_g = 1 / (24^g g!)."""
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    return Fraction(1, 24 ** g * factorial(g))
-
-
 def normalized_bracket(g: int, d: Sequence[int]) -> Fraction:
     """[tau_{d_1} ... tau_{d_n}] = 2^{3g-3+n} prod (2d_i+1)!/d_i! <tau_d>,
     which is 4^{3g-3+n} B(g, d) on the dimension constraint."""
@@ -156,25 +147,3 @@ def max_bracket(g: int, n: int) -> Fraction:
 def epsilon_d(g: int, d: Sequence[int]) -> Fraction:
     """Relative deviation of [tau_d] from the maximal bracket."""
     return normalized_bracket(g, d) / max_bracket(g, len(d)) - 1
-
-
-def c_gk(g: int, k: int, D: Sequence[int]) -> Fraction:
-    """Weighted sum of 2k-correlators over splittings of D, normalized so the
-    conjectural large-genus value is 1."""
-    D = tuple(int(x) for x in D)
-    if len(D) != k or any(x < 0 for x in D) or sum(D) != 3 * g - 3 + 2 * k:
-        raise ValueError("D must be a partition of 3g-3+2k into k parts")
-    pref = (
-        Fraction(factorial(g) * factorial(3 * g - 3 + 2 * k), factorial(6 * g + 4 * k - 5))
-        * Fraction(3 ** g, 2 ** (3 * g - 6 + 5 * k))
-    )
-    total = Fraction(0)
-    for split in _iproduct(*[range(Dj + 1) for Dj in D]):
-        d = []
-        weight = Fraction(1)
-        for Dj, d1 in zip(D, split):
-            d2 = Dj - d1
-            d.extend((d1, d2))
-            weight *= Fraction(factorial(2 * Dj + 2), factorial(d1) * factorial(d2))
-        total += weight * correlator(g, d)
-    return pref * total

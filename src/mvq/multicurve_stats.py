@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .exact_arith import IndeterminateError, PiRational, factorial, zeta_even
+from .exact_arith import IndeterminateError, PiRational, factorial
 from .stable_graphs import StableGraph
 from .volume_engine import (
     Poly,
@@ -68,38 +68,9 @@ def frequency(mc: Multicurve) -> Fraction:
     return vol_multicurve(mc.graph, mc.weights) / const_gn(g, n)
 
 
-def separating_frequency(g: int, g1: int) -> Fraction:
-    """Closed form for the frequency of a simple closed curve separating a
-    closed genus-g surface into pieces of genus g1 and g - g1."""
-    if not 1 <= g1 <= g - 1:
-        raise ValueError("need 1 <= g1 <= g-1")
-    g2 = g - g1
-    aut = 2 if g1 == g2 else 1
-    denom = (
-        aut
-        * 2 ** (3 * g - 4)
-        * 24 ** g
-        * factorial(g1)
-        * factorial(g2)
-        * factorial(3 * g1 - 2)
-        * factorial(3 * g2 - 2)
-        * (6 * g - 6)
-    )
-    return Fraction(1, denom)
-
-
 def b_gn(g: int, n: int) -> PiRational:
     """Mirzakhani's normalization constant: total volume divided by const."""
     return masur_veech_volume(g, n).total / const_gn(g, n)
-
-
-def b0n_closed_form(n: int) -> PiRational:
-    """Genus-zero closed form (pi/2)^(2(n-3)) / (n-3)!."""
-    if n < 4:
-        raise ValueError("need n >= 4")
-    return PiRational(
-        Fraction(1, factorial(n - 3) * 4 ** (n - 3)), 2 * (n - 3)
-    )
 
 
 def cylinder_distribution(g: int, n: int) -> Dict[int, Fraction]:
@@ -111,12 +82,6 @@ def cylinder_distribution(g: int, n: int) -> Dict[int, Fraction]:
     for k, v in sorted(report.per_cylinder_count.items()):
         out[k] = (v / total).rational(0)
     return out
-
-
-def prob_unit_heights_one_cyl(g: int, n: int) -> PiRational:
-    """Probability that a one-cylinder surface has cylinder height 1; equals
-    1/zeta(6g-6+2n) exactly."""
-    return zeta_even(6 * g - 6 + 2 * n).inverse()
 
 
 def _shift_poly(poly: Poly, num: Sequence[int], den: Sequence[int]) -> Poly:
@@ -208,11 +173,3 @@ def prob_heights(
     else:
         return PiRational(1, 0)
     return PiRational(num, 0) / z
-
-
-def ztilde_integral(graph: StableGraph, H: Sequence[int]) -> Fraction:
-    """Exact integral of the density over the simplex: equals op_Y(H, P)/d!
-    with d = 6g-6+2n, the homogeneity degree plus the number of edges
-    (Dirichlet integral, monomial by monomial)."""
-    d = 6 * graph.genus - 6 + 2 * graph.num_legs
-    return vol_multicurve(graph, H) / factorial(d)

@@ -54,15 +54,6 @@ def _vertex_factor(
     return den // common, tuple((tuple(2 * x for x in d), num // common) for d, num in nums.items())
 
 
-def kontsevich_poly(g: int, n: int) -> Poly:
-    """Top-degree part of the Weil-Petersson volume polynomial: a homogeneous
-    symmetric polynomial of degree 6g-6+2n in the n boundary lengths."""
-    if n < 1 or 2 * g - 2 + n <= 0:
-        raise ValueError("unstable (g, n)")
-    den, terms = _vertex_factor(g, 0, n)
-    return {expo: Fraction(num, den) for expo, num in terms}
-
-
 def _incidence(graph: StableGraph) -> List[Tuple[int, ...]]:
     """The incident edge indices per vertex, loops listed twice."""
     incident: List[List[int]] = [[] for _ in graph.genera]

@@ -13,12 +13,8 @@ import sympy
 from mvq.asymptotics import (
     agk_by_recursion,
     agk_from_correlators,
-    expansion_residual,
     harmonic_H_float,
     poisson_lambda,
-    series_checks,
-    sum_binomial_products,
-    vol_gamma1_bounds,
     vol_gamma_k,
 )
 from mvq.correlators import cached_keys, correlator
@@ -26,7 +22,6 @@ from mvq.exact_arith import PiRational, factorial, zeta_even
 from mvq.lattice_oracle import lattice_sum, volume_convergence_report
 from mvq.multicurve_stats import (
     Multicurve,
-    b0n_closed_form,
     b_gn,
     cylinder_distribution,
     expectation_ratio,
@@ -40,6 +35,13 @@ from mvq.siegel_veech import (
 )
 from mvq.stable_graphs import StableGraph, enumerate_graphs
 from mvq.volume_engine import graph_polynomial, masur_veech_volume
+from paper_refs import (
+    b0n_closed_form,
+    expansion_residual,
+    series_checks,
+    sum_binomial_products,
+    vol_gamma1_bounds,
+)
 
 F = Fraction
 

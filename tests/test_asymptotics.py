@@ -11,31 +11,34 @@ from pathlib import Path
 
 import pytest
 
+from mvq import asymptotics
 from mvq.asymptotics import (
     _deltas,
     agk_by_recursion,
     agk_from_correlators,
-    expansion_residual,
     harmonic_H,
     harmonic_H_float,
     harmonic_Z,
     harmonic_Z_float,
     poisson_lambda,
     poisson_model,
-    rpq,
     sep_nonsep_asymptotic,
     sep_nonsep_ratio,
-    series_checks,
     series_coeffs,
-    sum_binomial_products,
     vol_delta,
     vol_gamma1_asymptotic,
-    vol_gamma1_bounds,
     vol_gamma1_exact,
     vol_gamma_k,
 )
 from mvq.correlators import correlator, max_bracket
 from mvq.exact_arith import PiRational, zeta_even
+from paper_refs import (
+    expansion_residual,
+    rpq,
+    series_checks,
+    sum_binomial_products,
+    vol_gamma1_bounds,
+)
 
 
 class TestTwoPointSequence:
@@ -115,6 +118,27 @@ class TestSeparatingContribution:
     def test_ratio_approaches_asymptotic_form(self):
         exact, asym = sep_nonsep_ratio(40)
         assert abs(float(exact) / asym - 1) < 0.02
+
+    def test_ratio_needs_no_zeta_value(self, monkeypatch):
+        # zeta(6g-6) is a common factor of both contributions, so the ratio is
+        # one of rational coefficients: no Bernoulli number B_{6g-6} is built
+        def no_zeta(two_m):
+            raise AssertionError("zeta_even(%d) called" % two_m)
+
+        monkeypatch.setattr(asymptotics, "zeta_even", no_zeta)
+        pinned = {
+            2: Fraction(1, 48),
+            3: Fraction(5, 1776),
+            4: Fraction(605, 790992),
+            5: Fraction(4697, 27201408),
+            11: Fraction(166833285883, 5360555755385245488),
+        }
+        for g, want in pinned.items():
+            assert sep_nonsep_ratio(g)[0] == want, g
+        rising = {10: 0.9337, 20: 0.9673, 40: 0.9837, 80: 0.9919, 160: 0.9960}
+        quotients = [float(exact / asym) for exact, asym in map(sep_nonsep_ratio, rising)]
+        assert quotients == pytest.approx(list(rising.values()), abs=5e-5)
+        assert quotients == sorted(quotients) and quotients[-1] < 1
 
     def test_asymptotic_form_past_the_float_range(self):
         # the float 4^g overflows from g = 512 on, and the quotient underflows
@@ -215,13 +239,14 @@ class TestHarmonicLoops:
 
     def test_expansion_residual_leaves_numpy_unloaded(self):
         code = (
-            "import sys\nfrom mvq.asymptotics import expansion_residual\n"
+            "import sys\nfrom paper_refs import expansion_residual\n"
             "expansion_residual(3, 4000)\nprint('numpy' in sys.modules)"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join((str(here.parent / "src"), str(here)))
         out = subprocess.run(
             [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
             text=True,
             timeout=60,

@@ -9,16 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvq.correlators import (
-    c_gk,
     cached_keys,
     correlator,
     epsilon_d,
     max_bracket,
     normalized_bracket,
-    one_point_closed_form,
 )
 from mvq import correlators
 from mvq.correlators import _cuts, _room
+from paper_refs import c_gk, one_point_closed_form
 
 
 class TestKnownValues:

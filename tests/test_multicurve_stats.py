@@ -7,20 +7,22 @@ import sympy
 from mvq.exact_arith import PiRational, zeta_even
 from mvq.multicurve_stats import (
     Multicurve,
-    b0n_closed_form,
     b_gn,
     const_gn,
     cylinder_distribution,
     expectation_ratio,
     frequency,
     prob_heights,
-    prob_unit_heights_one_cyl,
-    separating_frequency,
     vol_multicurve,
-    ztilde_integral,
 )
 from mvq.stable_graphs import StableGraph, enumerate_graphs
 from mvq.volume_engine import op_Y, graph_polynomial
+from paper_refs import (
+    b0n_closed_form,
+    prob_unit_heights_one_cyl,
+    separating_frequency,
+    ztilde_integral,
+)
 
 PHI = StableGraph((0, 1), ((0, 0), (0, 1)), ())
 TWO_LOOPS = StableGraph((0,), ((0, 0), (0, 0)), ())

@@ -11,12 +11,12 @@ from mvq.siegel_veech import c_area_boundary, c_area_graphsum, lyapunov_sum_plus
 from mvq.stable_graphs import StableGraph, bridges, enumerate_graphs
 from mvq.volume_engine import (
     graph_polynomial,
-    kontsevich_poly,
     masur_veech_volume,
     op_Z,
     raw_graph_polynomial,
     vol_graph,
 )
+from paper_refs import kontsevich_poly
 
 # (g, n) -> (pi^2/3) * c_area, frozen golden values
 SV_TABLE = {

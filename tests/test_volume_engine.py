@@ -19,12 +19,12 @@ from mvq.siegel_veech import c_area_boundary
 from mvq.stable_graphs import StableGraph, bridges, enumerate_graphs
 from mvq.volume_engine import (
     graph_polynomial,
-    kontsevich_poly,
     masur_veech_volume,
     op_Y,
     op_Z,
     vol_graph,
 )
+from paper_refs import kontsevich_poly
 from test_correlators import _splits
 
 
